@@ -16,7 +16,7 @@ print("attacks:", sorted(af.attacks))
 print("complete extensions:", enumerate_complete_bruteforce(af))
 
 session = Session(EngineConfig(cache_mode="shared_sym"))
-session.state = encode_complete(af)
+session.replace_state(encode_complete(af))
 print("engine agrees:", session.checkpoint_count())
 
 config = PerturbationConfig(steps=10, seed=42)

@@ -1,4 +1,4 @@
-"""Show the lazy symmetry cache collapsing two symmetric residual formulas.
+"""Show the symmetry cache collapsing two symmetric residual formulas.
 
 The two residuals obtained by setting x3 true or false in the demo formula
 are syntactically different but isomorphic. With explicit keys they miss
@@ -29,10 +29,9 @@ print("canonical keys equal:", key_pos == key_neg)
 
 for mode in ("shared", "shared_sym"):
     session = Session(EngineConfig(cache_mode=mode))
-    session.state = state(phi_pos)
+    session.replace_state(state(phi_pos))
     first = session.checkpoint_count()
-    session.state = state(phi_neg)
-    session.state.revision = 1
+    session.replace_state(state(phi_neg))
     second = session.checkpoint_count()
     stats = session.last_count_stats
     print("%-10s counts %d/%d, second count: %d decisions, %d positive hits"

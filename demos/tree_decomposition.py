@@ -38,7 +38,7 @@ print("still valid after a removal:", td_valid_for(td, primal_graph(smaller)))
 
 # a session with td_mode="shared" wires this in automatically
 session = Session(EngineConfig(td_mode="shared", heuristic="vsads"))
-session.state = FormulaState(set(range(1, n + 1)), set(clauses))
+session.replace_state(FormulaState(set(range(1, n + 1)), set(clauses)))
 print("count with shared decomposition:", session.checkpoint_count())
 session.apply_op(UpdateOp("rem_clause", clause=sorted(clauses)[0]))
 print("after one removal:", session.checkpoint_count())

@@ -7,8 +7,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .formula import FormulaState, normalize_clause, sort_clauses
-from .session import UpdateBatch, UpdateOp
+from .formula import FormulaState, normalize_clause
 
 BRUTE_FORCE_ARG_LIMIT = 16
 
@@ -232,25 +231,22 @@ class StepRecord:
     tag: str
     af: ArgumentationFramework
     count: int
+    stats: dict     # the session's stats_record() right after this count
 
 
 def dynamic_sequence(af, config, session):
     """Perturb, re-encode and recount per step through one shared session.
 
-    Each transition is a full reset followed by a bulk add of the new
-    encoding; the persistent cache survives every reset in shared modes.
+    Each transition replaces the session's state with the new encoding;
+    the persistent cache survives every replacement in shared modes.
     """
     rng = random.Random(config.seed)
     records = []
     current = af
     for step in range(1, config.steps + 1):
         current, tag = perturb(current, config, rng)
-        encoded = encode_complete(current)
-        ops = [UpdateOp.reset()]
-        ops += [UpdateOp.add_var(v) for v in sorted(encoded.active_vars)]
-        ops += [UpdateOp("add_clause", clause=c)
-                for c in sort_clauses(encoded.clauses)]
-        session.apply_batch(UpdateBatch(ops))
+        session.replace_state(encode_complete(current))
         count = session.checkpoint_count()
-        records.append(StepRecord(step, tag, current, count))
+        records.append(StepRecord(step, tag, current, count,
+                                  session.stats_record()))
     return records

@@ -1,9 +1,10 @@
-"""Persistent component cache with explicit keys and lazy symmetry canonicalization.
+"""Persistent component cache with explicit keys and symmetry canonicalization.
 
 A cache key is always the component's own clause list (never indices into
 a global formula), so a key collision implies the two components are the
-same formula. In symmetry mode the clause list is first renamed through a
-frequency-derived literal permutation, so isomorphic components collide.
+same formula. In symmetry mode every key is built from the clause list
+renamed through a frequency-derived literal permutation, so isomorphic
+components collide.
 """
 
 from __future__ import annotations
@@ -91,16 +92,6 @@ class CacheEntry:
     last_touched_revision: int = 0
 
 
-@dataclass
-class CacheStats:
-    entries: int = 0
-    bytes: int = 0
-    positive_hits: int = 0
-    negative_hits: int = 0
-    stores: int = 0
-    evictions: int = 0
-
-
 class ComponentCache:
     """Key -> exact count map with a byte budget and hit/age eviction.
 
@@ -116,21 +107,19 @@ class ComponentCache:
         self.bytes_used = 0
         self.revision = 0
         self._seq = 0
-        self.stats = CacheStats()
+        self.evictions = 0  # cumulative; clear() keeps it
 
     def clear(self):
         self.entries.clear()
         self.bytes_used = 0
 
     def lookup(self, key):
-        """Return the stored count or None; updates hit statistics either way."""
+        """Return the stored count or None; a hit updates the entry's hits and age."""
         entry = self.entries.get(key)
         if entry is None:
-            self.stats.negative_hits += 1
             return None
         entry.hits += 1
         entry.last_touched_revision = self.revision
-        self.stats.positive_hits += 1
         return entry.count
 
     def store(self, key, count):
@@ -142,7 +131,6 @@ class ComponentCache:
         self._seq += 1
         self.entries[key] = CacheEntry(count, size, 0, self._seq, self.revision)
         self.bytes_used += size
-        self.stats.stores += 1
         if self.bytes_used > self.byte_budget:
             self.evict()
 
@@ -160,9 +148,4 @@ class ComponentCache:
                 break
             del self.entries[key]
             self.bytes_used -= entry.byte_size
-            self.stats.evictions += 1
-
-    def snapshot_stats(self):
-        self.stats.entries = len(self.entries)
-        self.stats.bytes = self.bytes_used
-        return self.stats
+            self.evictions += 1

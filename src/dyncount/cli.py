@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .argumentation import (AfParseError, PerturbationConfig, dynamic_sequence,
@@ -24,6 +25,20 @@ _MODE_NAMES = {"noshared": "no_shared", "shared": "shared",
                "shared-sym": "shared_sym"}
 
 
+def _positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be a positive integer: %r" % text)
+    return value
+
+
+def _non_negative_float(text):
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("must be a finite number >= 0: %r" % text)
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -37,12 +52,13 @@ def _build_parser():
                         default="shared-sym")
     shared.add_argument("--heuristic", choices=["dlcs", "vsads"], default="dlcs")
     shared.add_argument("--td", choices=["off", "shared"], default="off")
-    shared.add_argument("--cache-bytes", type=int, default=512 * 1024 * 1024)
+    shared.add_argument("--cache-bytes", type=_positive_int,
+                        default=512 * 1024 * 1024)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--stats", action="store_true")
     shared.add_argument("--stats-json", action="store_true")
-    shared.add_argument("--delta", type=float, default=0.20)
-    shared.add_argument("--steps", type=int, default=1000)
+    shared.add_argument("--delta", type=_non_negative_float, default=0.20)
+    shared.add_argument("--steps", type=_positive_int, default=1000)
 
     parser = _Parser(prog="dyncount",
                      description="incremental exact model counter")
@@ -74,8 +90,7 @@ def _emit_stats(session, args, out):
 def _cmd_count(args, out):
     session = _make_session(args)
     with open(args.file) as fh:
-        state = state_from_dimacs(fh.read())
-    session.state = state
+        session.replace_state(state_from_dimacs(fh.read()))
     value = session.checkpoint_count()
     out.write("1 %d\n" % value)
     if args.stats_json:
@@ -117,7 +132,7 @@ def _cmd_softcore(args, out):
 def _cmd_af_count(args, out):
     session = _make_session(args)
     af = read_af(args.file)
-    session.state = encode_complete(af)
+    session.replace_state(encode_complete(af))
     value = session.checkpoint_count()
     out.write("1 %d\n" % value)
     _emit_stats(session, args, out)
@@ -132,13 +147,13 @@ def _cmd_af_dynamic(args, out):
         out.write("c op %s\n" % record.tag)
         out.write("%d %d\n" % (record.step, record.count))
         if args.stats_json:
-            out.write("c json %s\n"
-                      % json.dumps(session.stats_record(), sort_keys=True))
+            out.write("c json %s\n" % json.dumps(record.stats, sort_keys=True))
     _emit_stats(session, args, out)
 
 
 def _cmd_td(args, out):
-    state = state_from_dimacs(open(args.file).read())
+    with open(args.file) as fh:
+        state = state_from_dimacs(fh.read())
     td = compute_tree_decomposition(primal_graph(state.clauses))
     out.write("width %d\n" % td.width)
     out.write("bags %d\n" % len(td.bags))

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 
 from .cache import make_key
 from .formula import decompose_components, is_tautology, vars_of
-from .heuristics import HYBRID_WEIGHT, record_conflict, select_branch_variable
+from .heuristics import record_conflict, select_branch_variable
 
 NO_SHARED = "no_shared"
 SHARED = "shared"
@@ -26,8 +25,6 @@ class EngineConfig:
     heuristic: str = "dlcs"            # dlcs | vsads
     td_mode: str = "off"               # off | shared
     cache_byte_budget: int = 512 * 1024 * 1024
-    td_staleness: str = "keep"         # keep | recompute
-    hybrid_weight: int = HYBRID_WEIGHT
     time_budget: float | None = None   # seconds per count, None = unlimited
 
     def __post_init__(self):
@@ -48,8 +45,6 @@ class SearchStats:
     conflicts: int = 0
     positive_hits: int = 0
     negative_hits: int = 0
-    cache_stores: int = 0
-    evictions: int = 0
 
     def merge(self, other):
         self.decisions += other.decisions
@@ -57,8 +52,6 @@ class SearchStats:
         self.conflicts += other.conflicts
         self.positive_hits += other.positive_hits
         self.negative_hits += other.negative_hits
-        self.cache_stores += other.cache_stores
-        self.evictions += other.evictions
 
 
 @dataclass
@@ -132,70 +125,42 @@ class _Search:
             if time.monotonic() > self.deadline:
                 raise ResourceLimitError("count exceeded the configured time budget")
 
-    def _lookup(self, key):
-        hit = self.cache.lookup(key)
-        if hit is None:
-            self.stats.negative_hits += 1
-        else:
-            self.stats.positive_hits += 1
-        return hit
+    def solve(self, clauses, variables, root=False):
+        """Count `clauses` over exactly `variables` (all occurring in them).
 
-    def _store(self, key, count):
-        before = len(self.cache.entries)
-        evicted_before = self.cache.stats.evictions
-        self.cache.store(key, count)
-        if len(self.cache.entries) > before:
-            self.stats.cache_stores += 1
-        self.stats.evictions += self.cache.stats.evictions - evicted_before
-
-    def count_clause_set(self, clauses, variables):
-        """Count over exactly `variables` (all occurring in `clauses`).
-
-        Handles the root: cache lookup on the whole set, then initial
-        propagation, free-variable factoring and component recursion.
+        Cache lookup, then one branch per value of the heuristic's pick (the
+        root takes a single branch with no decision), propagation, free-variable
+        factoring and a split into components. A generator: it yields each
+        component and is sent back that component's count; it returns the
+        total, which it has stored in the cache.
         """
         key = make_key(clauses, self.sym)
-        hit = self._lookup(key)
+        hit = self.cache.lookup(key)
         if hit is not None:
+            self.stats.positive_hits += 1
             return hit
-        residual, assignment, conflict = unit_propagate(clauses, {}, self.stats)
-        if conflict is not None:
-            record_conflict(self.conflicts, conflict)
-            self.stats.conflicts += 1
-            result = 0
+        self.stats.negative_hits += 1
+        if root:
+            decisions = ({},)
         else:
-            free = variables - assignment.keys() - vars_of(residual)
-            result = 1 << len(free)
-            for comp in decompose_components(residual):
-                result *= self.count_component(comp.clauses, comp.variables)
-        self._store(key, result)
-        return result
-
-    def count_component(self, comp_clauses, comp_vars):
-        """Cache lookup, branch on the heuristic pick, recurse, sum, store."""
-        self._check_budget()
-        key = make_key(comp_clauses, self.sym)
-        hit = self._lookup(key)
-        if hit is not None:
-            return hit
-        v = select_branch_variable(comp_clauses, self.config.heuristic,
-                                   self.conflicts, self.td,
-                                   self.config.hybrid_weight)
-        self.stats.decisions += 1
+            v = select_branch_variable(clauses, self.config.heuristic,
+                                       self.conflicts, self.td)
+            self.stats.decisions += 1
+            decisions = ({v: True}, {v: False})
         total = 0
-        for value in (True, False):
+        for decision in decisions:
             residual, assignment, conflict = unit_propagate(
-                comp_clauses, {v: value}, self.stats)
+                clauses, decision, self.stats)
             if conflict is not None:
                 record_conflict(self.conflicts, conflict)
                 self.stats.conflicts += 1
                 continue
-            free = comp_vars - assignment.keys() - vars_of(residual)
+            free = variables - assignment.keys() - vars_of(residual)
             branch = 1 << len(free)
             for comp in decompose_components(residual):
-                branch *= self.count_component(comp.clauses, comp.variables)
+                branch *= yield comp
             total += branch
-        self._store(key, total)
+        self.cache.store(key, total)
         return total
 
 
@@ -204,6 +169,8 @@ def count(state, config, cache, conflicts=None, td=None):
 
     In no-shared mode the cache is cleared first; in shared modes it is
     reused and extended. Deterministic for fixed inputs and cache content.
+    The search runs on an explicit stack of `_Search.solve` generators, so
+    its depth is bounded by memory, not by the interpreter's recursion limit.
     """
     if config.cache_mode == NO_SHARED:
         cache.clear()
@@ -214,11 +181,18 @@ def count(state, config, cache, conflicts=None, td=None):
     occurring = vars_of(clauses)
     free_global = len(state.active_vars) - len(occurring)
     search = _Search(config, cache, conflicts, td)
-    limit = 3000 + 40 * len(occurring)
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-    if clauses:
-        over_occurring = search.count_clause_set(frozenset(clauses), occurring)
-    else:
-        over_occurring = 1
-    return CountResult(over_occurring << free_global, search.stats)
+    if not clauses:
+        return CountResult(1 << free_global, search.stats)
+    stack = [search.solve(frozenset(clauses), occurring, root=True)]
+    sent = None
+    while stack:
+        try:
+            comp = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+        else:
+            search._check_budget()
+            stack.append(search.solve(comp.clauses, comp.variables))
+            sent = None
+    return CountResult(sent << free_global, search.stats)

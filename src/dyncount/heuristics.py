@@ -160,8 +160,7 @@ def td_valid_for(td, graph):
 HYBRID_WEIGHT = 100
 
 
-def select_branch_variable(clauses, heuristic="dlcs", conflicts=None,
-                           td=None, hybrid_weight=HYBRID_WEIGHT):
+def select_branch_variable(clauses, heuristic="dlcs", conflicts=None, td=None):
     """Argmax of the base score, optionally depth-boosted by a shared decomposition.
 
     With a decomposition, the composite score is compared as
@@ -190,7 +189,7 @@ def select_branch_variable(clauses, heuristic="dlcs", conflicts=None,
     best, best_score = None, None
     for v in sorted(base):
         depth = td.depth_of.get(v, depth_cap)
-        score = base[v] * (depth_cap + 1) + hybrid_weight * base_max * (depth_cap - depth)
+        score = base[v] * (depth_cap + 1) + HYBRID_WEIGHT * base_max * (depth_cap - depth)
         if best_score is None or score > best_score:
             best, best_score = v, score
     return best

@@ -11,7 +11,7 @@ from .cache import ComponentCache
 from .dimacs import read_dimacs
 from .engine import EngineConfig, ResourceLimitError, SearchStats
 from .formula import FormulaState, clause_vars, normalize_clause, primal_graph
-from .heuristics import compute_tree_decomposition, td_valid_for
+from .heuristics import compute_tree_decomposition
 
 
 class PreconditionError(ValueError):
@@ -134,6 +134,24 @@ class Session:
         state.revision += 1
         return self
 
+    def replace_state(self, state):
+        """Install a copy of `state` as one update: the revision goes up by one.
+
+        Every clause is checked against `state.active_vars` before anything
+        changes. The cache, the conflict scores and the tree decomposition
+        are kept, so later counts reuse them.
+        """
+        for c in state.clauses:
+            missing = clause_vars(c) - state.active_vars
+            if missing:
+                raise PreconditionError(
+                    "replace_state: clause %r uses inactive variable %d"
+                    % (c, min(missing)))
+        installed = state.copy()
+        installed.revision = self.state.revision + 1
+        self.state = installed
+        return self
+
     def apply_batch(self, batch):
         """Apply ops in order; any failure restores the pre-batch state exactly."""
         ops = batch.ops if isinstance(batch, UpdateBatch) else list(batch)
@@ -151,12 +169,9 @@ class Session:
     def _prepare_td(self):
         if self.config.td_mode != "shared":
             return None
-        graph = primal_graph(self.state.clauses)
         if self.td is None:
-            self.td = compute_tree_decomposition(graph, self.state.revision)
-        elif (self.config.td_staleness == "recompute"
-              and not td_valid_for(self.td, graph)):
-            self.td = compute_tree_decomposition(graph, self.state.revision)
+            self.td = compute_tree_decomposition(primal_graph(self.state.clauses),
+                                                 self.state.revision)
         return self.td
 
     def checkpoint_count(self):
@@ -171,20 +186,18 @@ class Session:
         return result.count
 
     def stats_lines(self):
-        cache_stats = self.cache.snapshot_stats()
         return [
             "c positiveHits %d" % self.stats.positive_hits,
             "c negativeHits %d" % self.stats.negative_hits,
             "c decisions %d" % self.stats.decisions,
             "c propagations %d" % self.stats.propagations,
             "c conflicts %d" % self.stats.conflicts,
-            "c cacheEntries %d" % cache_stats.entries,
-            "c cacheBytes %d" % cache_stats.bytes,
-            "c evictions %d" % cache_stats.evictions,
+            "c cacheEntries %d" % len(self.cache.entries),
+            "c cacheBytes %d" % self.cache.bytes_used,
+            "c evictions %d" % self.cache.evictions,
         ]
 
     def stats_record(self):
-        cache_stats = self.cache.snapshot_stats()
         last = self.last_count_stats or SearchStats()
         return {
             "checkpoint": len(self.counts),
@@ -193,9 +206,9 @@ class Session:
             "conflicts": last.conflicts,
             "positiveHits": last.positive_hits,
             "negativeHits": last.negative_hits,
-            "cacheEntries": cache_stats.entries,
-            "cacheBytes": cache_stats.bytes,
-            "evictions": cache_stats.evictions,
+            "cacheEntries": len(self.cache.entries),
+            "cacheBytes": self.cache.bytes_used,
+            "evictions": self.cache.evictions,
         }
 
 

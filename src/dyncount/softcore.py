@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .session import UpdateBatch, UpdateOp
+from .session import UpdateOp
 from .formula import sort_clauses
 
 
@@ -81,11 +81,7 @@ def compute_soft_core(state, config, session, order=None):
     """
     if not state.clauses:
         raise ValueError("soft core needs at least one clause")
-    ops = [UpdateOp.reset()]
-    ops += [UpdateOp.add_var(v) for v in sorted(state.active_vars)]
-    ops += [UpdateOp("add_clause", clause=c) for c in sort_clauses(state.clauses)]
-    session.apply_batch(UpdateBatch(ops))
-
+    session.replace_state(state)
     base = session.checkpoint_count()
     threshold = threshold_for(base, config)
     clauses = _ordered_clauses(state, config, order)
@@ -120,12 +116,8 @@ def verify_soft_core(state, result, config, session_factory=None):
     kept_clauses = {result.clause_order[i - 1] for i in result.kept_indices}
     recount_state = state.copy()
     recount_state.clauses = kept_clauses
-    replay_session = session_factory()
-    ops = [UpdateOp.reset()]
-    ops += [UpdateOp.add_var(v) for v in sorted(recount_state.active_vars)]
-    ops += [UpdateOp("add_clause", clause=c) for c in sort_clauses(kept_clauses)]
-    replay_session.apply_batch(UpdateBatch(ops))
-    if replay_session.checkpoint_count() > result.threshold:
+    recount_session = session_factory().replace_state(recount_state)
+    if recount_session.checkpoint_count() > result.threshold:
         return False
 
     replay = compute_soft_core(state, config, session_factory(),

@@ -348,7 +348,7 @@ def test_eviction_safety():
             result = count(st, config, cache)
             if result.count != oracle:
                 ok = False
-            evictions += cache.snapshot_stats().evictions
+            evictions += cache.evictions
     # the small instances rarely overflow 4 KiB, so force eviction pressure
     # on a bigger one and cross-check against an effectively unbounded cache
     for seed in range(3):
@@ -361,7 +361,7 @@ def test_eviction_safety():
             cache = ComponentCache(config.cache_byte_budget)
             if count(st, config, cache).count != reference:
                 ok = False
-            evictions += cache.snapshot_stats().evictions
+            evictions += cache.evictions
     ok = ok and evictions > 0
     report("eviction safety: 4 KiB budget stays exact (%d evictions)"
            % evictions, ok, t0)

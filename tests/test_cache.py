@@ -124,8 +124,7 @@ def test_lookup_round_trip_and_idempotent_store():
     cache.store(key, 3)
     assert len(cache.entries) == 1
     assert cache.lookup(key) == 3
-    stats = cache.snapshot_stats()
-    assert stats.positive_hits == 1 and stats.negative_hits == 1
+    assert cache.entries[key].hits == 1
 
 
 def test_eviction_prefers_hitless_entries():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dyncount import PerturbationConfig, Session, dynamic_sequence, parse_af
 from dyncount.cli import run
 from dyncount.dimacs import write_dimacs
 
@@ -125,6 +126,23 @@ def test_af_dynamic_deterministic(tmp_path):
     assert results[0].split()[0] == "1"
 
 
+def test_af_dynamic_stats_json_per_step(tmp_path):
+    import json
+    path = tmp_path / "net.af"
+    path.write_text("p af 4\n1 2\n2 3\n3 4\n")
+    session = Session()
+    records = dynamic_sequence(parse_af(path.read_text()),
+                               PerturbationConfig(steps=6, seed=7), session)
+    code, out, _ = invoke(["af-dynamic", str(path), "--steps", "6",
+                           "--seed", "7", "--stats-json"])
+    assert code == 0
+    stats = [json.loads(l[len("c json "):]) for l in out.splitlines()
+             if l.startswith("c json ")]
+    assert [s["checkpoint"] for s in stats] == [1, 2, 3, 4, 5, 6]
+    assert stats == [r.stats for r in records]
+    assert sum(s["decisions"] for s in stats) == session.stats.decisions
+
+
 def test_td_command(example1_file):
     code, out, _ = invoke(["td", example1_file])
     assert code == 0
@@ -139,6 +157,17 @@ def test_usage_errors_exit_1():
                  ["nonsense"], ["count", "x.cnf", "--frobnicate"]):
         code, _, err = invoke(argv)
         assert code == 1, argv
+
+
+def test_out_of_range_flags_exit_1(example1_file, capsys):
+    # argparse writes usage errors to the process's stderr
+    for argv in (["count", example1_file, "--cache-bytes", "0"],
+                 ["softcore", example1_file, "--delta", "-1"],
+                 ["af-dynamic", example1_file, "--steps", "-3"]):
+        code, out, _ = invoke(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "error: argument" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(tmp_path):

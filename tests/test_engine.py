@@ -1,5 +1,8 @@
+import inspect
 import random
+import sys
 
+from dyncount import engine
 from dyncount import (ComponentCache, EngineConfig, FormulaState, Session,
                       brute_force_count, condition, count, normalize_clause,
                       unit_propagate)
@@ -150,12 +153,45 @@ def test_determinism_of_stats():
         assert a.stats == b.stats
 
 
-def test_positive_plus_negative_equals_lookups():
-    st = example1_state()
-    result = count(st, EngineConfig(),
-                   ComponentCache(EngineConfig().cache_byte_budget))
-    stats = result.stats
-    assert stats.positive_hits + stats.negative_hits >= stats.cache_stores
+def test_positive_plus_negative_equals_lookups(monkeypatch):
+    # One lookup per key built, and every miss is stored. With no unit
+    # clause, root propagation leaves example1 as one component equal to
+    # the whole formula, so the root's key misses a second time and its
+    # second store is a no-op; the unit clause x5 removes that coincidence.
+    built = []
+    real_make_key = engine.make_key
+
+    def recording_make_key(clauses, symmetry=False):
+        built.append(real_make_key(clauses, symmetry))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "make_key", recording_make_key)
+    for extra, root_remisses in (((), 1), ((normalize_clause([5]),), 0)):
+        st = example1_state()
+        st.clauses.update(extra)
+        for mode in ("no_shared", "shared", "shared_sym"):
+            built.clear()
+            cache = ComponentCache(EngineConfig().cache_byte_budget)
+            stats = count(st, EngineConfig(cache_mode=mode), cache).stats
+            assert stats.positive_hits + stats.negative_hits == len(built)
+            assert set(cache.entries) == set(built)
+            assert stats.negative_hits == len(cache.entries) + root_remisses
+
+
+def test_long_chain_needs_no_recursion_limit():
+    # the chain (-x_i v x_{i+1}) has 301 models over 300 variables and
+    # nests about 150 components deep, past the limit set below
+    n = 300
+    st = FormulaState(set(range(1, n + 1)),
+                      {normalize_clause([-i, i + 1]) for i in range(1, n)})
+    saved = sys.getrecursionlimit()
+    limit = len(inspect.stack(0)) + 60
+    sys.setrecursionlimit(limit)
+    try:
+        assert count_once(st, EngineConfig()) == n + 1
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_tiny_budget_still_exact():

@@ -70,6 +70,30 @@ def test_rem_clause_not_found():
         session.apply_op(UpdateOp.rem_clause([1, 2]))
 
 
+def test_replace_state_rejects_inactive_variable():
+    session = loaded_session()
+    before = session.state.copy()
+    bad = FormulaState({1, 2}, {normalize_clause([1, 3])})
+    with pytest.raises(PreconditionError):
+        session.replace_state(bad)
+    assert session.state.active_vars == before.active_vars
+    assert session.state.clauses == before.clauses
+    assert session.state.revision == before.revision
+
+
+def test_replace_state_bumps_revision_and_keeps_cache():
+    session = loaded_session(EngineConfig(cache_mode="shared"))
+    assert session.checkpoint_count() == 10
+    revision = session.state.revision
+    new_state = example1_state()
+    session.replace_state(new_state)
+    assert session.state.revision == revision + 1
+    new_state.clauses.clear()
+    assert session.state.clauses == example1_state().clauses
+    assert session.checkpoint_count() == 10
+    assert session.last_count_stats.decisions == 0
+
+
 def test_empty_batch_no_change():
     session = loaded_session()
     before = session.state.copy()
