@@ -9,9 +9,9 @@ components collide.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-
-from .formula import clause_key, lit_key
+from itertools import chain
 
 
 def frequency_profile(clauses):
@@ -20,20 +20,14 @@ def frequency_profile(clauses):
     Returns {var: (first_literal, first_count, second_count)}. On a count
     tie the negative literal comes first.
     """
-    counts = {}
-    variables = set()
-    for c in clauses:
-        for l in c:
-            counts[l] = counts.get(l, 0) + 1
-            variables.add(abs(l))
+    counts = Counter(chain.from_iterable(clauses))
     profile = {}
-    for v in variables:
-        pos = counts.get(v, 0)
-        neg = counts.get(-v, 0)
-        if pos < neg:
-            profile[v] = (v, pos, neg)
-        else:
-            profile[v] = (-v, neg, pos)
+    for l in counts:
+        v = abs(l)
+        if v not in profile:
+            pos = counts.get(v, 0)
+            neg = counts.get(-v, 0)
+            profile[v] = (v, pos, neg) if pos < neg else (-v, neg, pos)
     return profile
 
 
@@ -42,8 +36,8 @@ def sort_profile(profile):
 
     Returns a list of (variable, first_literal).
     """
-    return [(v, profile[v][0])
-            for v in sorted(profile, key=lambda v: (profile[v][1], profile[v][2], v))]
+    order = sorted([(p[1], p[2], v) for v, p in profile.items()])
+    return [(v, profile[v][0]) for _, _, v in order]
 
 
 def build_renaming(ordered_pairs):
@@ -67,15 +61,18 @@ def canonicalize(clauses):
     quasi-canonical, which costs hits but never soundness.
     """
     sigma = build_renaming(sort_profile(frequency_profile(clauses)))
-    renamed = {tuple(sorted((sigma[l] for l in c), key=lit_key)) for c in clauses}
-    key = tuple(sorted(renamed, key=clause_key))
-    return key, sigma
+    # the native sort puts -l before l; the stable sort by abs then gives
+    # the lit_key order of normalize_clause, tautological clauses included
+    rename = sigma.__getitem__
+    renamed = {tuple(sorted(sorted(map(rename, c)), key=abs)) for c in clauses}
+    return tuple(sorted(renamed)), sigma
 
 
 def make_key(clauses, symmetry=False):
+    """The clause set as a tuple of clauses in native tuple order."""
     if symmetry:
         return canonicalize(clauses)[0]
-    return tuple(sorted(clauses, key=clause_key))
+    return tuple(sorted(clauses))
 
 
 def key_bytes(key):

@@ -39,11 +39,14 @@ def _non_negative_float(text):
     return value
 
 
+class _UsageError(Exception):
+    """A usage error: its text is the usage line and the `error:` line."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
-        raise SystemExit(1)
+        raise _UsageError("%s%s: error: %s\n"
+                          % (self.format_usage(), self.prog, message))
 
 
 def _build_parser():
@@ -175,6 +178,9 @@ def run(argv, out=None, err=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        err.write(str(exc))
+        return 1
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

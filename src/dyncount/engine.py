@@ -60,47 +60,51 @@ class CountResult:
     stats: SearchStats
 
 
-def unit_propagate(clauses, assignment, stats=None):
+def unit_propagate(clauses, assignment, stats=None, check_budget=None):
     """Condition on the assignment and propagate units to fixpoint.
 
     Returns (residual clause set, extended assignment, None) on success or
     (None, assignment, falsified original clause) on conflict. The conflict
     clause is the input clause whose residual became empty, for VSADS.
+
+    Each round tests the clauses against the literals made true and made
+    false by the previous round's units (the first round: by the incoming
+    assignment); a clause that meets neither passes through unchanged.
+    `check_budget`, if given, is called once per round.
     """
     assignment = dict(assignment)
+    true = {v if val else -v for v, val in assignment.items()}
     pending = [(c, c) for c in clauses]
     while True:
+        if check_budget is not None:
+            check_budget()
+        false = {-l for l in true}
+        touched = true | false
         reduced = []
-        units = {}
-        for orig, cur in pending:
-            keep = []
-            sat = False
-            for l in cur:
-                val = assignment.get(abs(l))
-                if val is None:
-                    keep.append(l)
-                elif (l > 0) == val:
-                    sat = True
-                    break
-            if sat:
+        units = set()
+        for pair in pending:
+            cur = pair[1]
+            if touched.isdisjoint(cur):
+                if len(cur) > 1:
+                    reduced.append(pair)
+                    continue
+            elif true.isdisjoint(cur):
+                cur = tuple([l for l in cur if l not in false])
+                if len(cur) > 1:
+                    reduced.append((pair[0], cur))
+                    continue
+            else:
                 continue
-            if not keep:
-                return None, assignment, orig
-            if len(keep) == 1:
-                l = keep[0]
-                v = abs(l)
-                want = l > 0
-                prev = units.get(v)
-                if prev is not None and prev != want:
-                    return None, assignment, orig
-                units[v] = want
-                continue
-            reduced.append((orig, tuple(keep)))
+            if not cur or -cur[0] in units:
+                return None, assignment, pair[0]
+            units.add(cur[0])
         if not units:
             return {cur for _, cur in reduced}, assignment, None
-        assignment.update(units)
+        for l in units:
+            assignment[abs(l)] = l > 0
         if stats is not None:
             stats.propagations += len(units)
+        true = units
         pending = reduced
 
 
@@ -125,21 +129,23 @@ class _Search:
             if time.monotonic() > self.deadline:
                 raise ResourceLimitError("count exceeded the configured time budget")
 
-    def solve(self, clauses, variables, root=False):
+    def solve(self, clauses, variables, root=False, key=None):
         """Count `clauses` over exactly `variables` (all occurring in them).
 
         Cache lookup, then one branch per value of the heuristic's pick (the
         root takes a single branch with no decision), propagation, free-variable
-        factoring and a split into components. A generator: it yields each
-        component and is sent back that component's count; it returns the
-        total, which it has stored in the cache.
+        factoring and a split into components. A generator: it yields the
+        search of each component and is sent back that component's count; it
+        returns the total, which it has stored in the cache. A `key` given
+        by the caller has just missed, so it is not looked up again.
         """
-        key = make_key(clauses, self.sym)
-        hit = self.cache.lookup(key)
-        if hit is not None:
-            self.stats.positive_hits += 1
-            return hit
-        self.stats.negative_hits += 1
+        if key is None:
+            key = make_key(clauses, self.sym)
+            hit = self.cache.lookup(key)
+            if hit is not None:
+                self.stats.positive_hits += 1
+                return hit
+            self.stats.negative_hits += 1
         if root:
             decisions = ({},)
         else:
@@ -150,15 +156,20 @@ class _Search:
         total = 0
         for decision in decisions:
             residual, assignment, conflict = unit_propagate(
-                clauses, decision, self.stats)
+                clauses, decision, self.stats, self._check_budget)
             if conflict is not None:
                 record_conflict(self.conflicts, conflict)
                 self.stats.conflicts += 1
                 continue
-            free = variables - assignment.keys() - vars_of(residual)
-            branch = 1 << len(free)
-            for comp in decompose_components(residual):
-                branch *= yield comp
+            comps = decompose_components(residual)
+            free = (len(variables) - len(assignment)
+                    - sum(len(comp.variables) for comp in comps))
+            # a root that propagation leaves unit-free and connected is its
+            # own one component, whose key has just missed
+            known = key if root and not assignment and len(comps) == 1 else None
+            branch = 1 << free
+            for comp in comps:
+                branch *= yield self.solve(comp.clauses, comp.variables, key=known)
             total += branch
         self.cache.store(key, total)
         return total
@@ -187,12 +198,12 @@ def count(state, config, cache, conflicts=None, td=None):
     sent = None
     while stack:
         try:
-            comp = stack[-1].send(sent)
+            child = stack[-1].send(sent)
         except StopIteration as done:
             stack.pop()
             sent = done.value
         else:
             search._check_budget()
-            stack.append(search.solve(comp.clauses, comp.variables))
+            stack.append(child)
             sent = None
     return CountResult(sent << free_global, search.stats)

@@ -27,8 +27,12 @@ def lit_key(lit):
 
 
 def clause_key(clause):
-    """Total order on normalized clauses, comparing literal sequences."""
-    return tuple((abs(l), l > 0) for l in clause)
+    """Total order on normalized clauses, comparing literal sequences.
+
+    Each literal l becomes the integer 2*|l| + (l > 0), which orders
+    literals exactly as lit_key does, so the keys compare in C.
+    """
+    return tuple([2 * l + 1 if l > 0 else -2 * l for l in clause])
 
 
 def normalize_clause(raw):
@@ -115,38 +119,38 @@ class Component:
 
 
 def decompose_components(clauses):
-    """Partition clauses into variable-connected groups, ordered by smallest variable."""
+    """Partition clauses into variable-connected groups, ordered by smallest variable.
+
+    One pass over the clauses: each variable points at its group (its
+    variables and clauses), and when a clause joins two groups the smaller
+    one is merged into the larger.
+    """
     if () in clauses:
         raise ValueError("cannot decompose a clause set containing the empty clause")
-    parent = {}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
+    group_of = {}
     for c in clauses:
-        vs = [abs(l) for l in c]
-        for v in vs:
-            parent.setdefault(v, v)
-        for v in vs[1:]:
-            ra, rb = find(vs[0]), find(v)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    groups = {}
-    for c in clauses:
-        root = find(abs(c[0]))
-        groups.setdefault(root, []).append(c)
-
-    out = []
-    for root in sorted(groups):
-        cl = tuple(sort_clauses(groups[root]))
-        out.append(Component(cl, frozenset(vars_of(cl))))
-    return out
+        home = None
+        for v in map(abs, c):
+            group = group_of.get(v)
+            if group is None:
+                if home is None:
+                    home = ([], [])
+                home[0].append(v)
+                group_of[v] = home
+            elif group is not home:
+                if home is None:
+                    home = group
+                else:
+                    if len(group[0]) > len(home[0]):
+                        group, home = home, group
+                    for u in group[0]:
+                        group_of[u] = home
+                    home[0].extend(group[0])
+                    home[1].extend(group[1])
+        home[1].append(c)
+    groups = {id(group): group for group in group_of.values()}.values()
+    return [Component(tuple(sorted(cl, key=clause_key)), frozenset(vs))
+            for _, vs, cl in sorted([(min(vs), vs, cl) for vs, cl in groups])]
 
 
 @dataclass(frozen=True)

@@ -159,15 +159,25 @@ def test_usage_errors_exit_1():
         assert code == 1, argv
 
 
-def test_out_of_range_flags_exit_1(example1_file, capsys):
-    # argparse writes usage errors to the process's stderr
+def test_out_of_range_flags_exit_1(example1_file):
     for argv in (["count", example1_file, "--cache-bytes", "0"],
                  ["softcore", example1_file, "--delta", "-1"],
                  ["af-dynamic", example1_file, "--steps", "-3"]):
-        code, out, _ = invoke(argv)
+        code, out, err = invoke(argv)
         assert code == 1, argv
         assert out == ""
-        assert "error: argument" in capsys.readouterr().err
+        assert "error: argument" in err
+
+
+def test_usage_errors_go_to_given_err(capsys):
+    for argv in ([], ["count", "x.cnf", "--mode", "bogus"]):
+        code, out, err = invoke(argv)
+        assert code == 1, argv
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: dyncount")
+        assert "error:" in lines[-1]
+        assert out == ""
+        assert capsys.readouterr() == ("", "")
 
 
 def test_missing_file_exit_2(tmp_path):

@@ -2,15 +2,18 @@ import inspect
 import random
 import sys
 
+import pytest
+
 from dyncount import engine
-from dyncount import (ComponentCache, EngineConfig, FormulaState, Session,
-                      brute_force_count, condition, count, normalize_clause,
-                      unit_propagate)
+from dyncount import (ComponentCache, EngineConfig, FormulaState,
+                      ResourceLimitError, Session, UpdateOp, brute_force_count,
+                      condition, count, normalize_clause, unit_propagate)
 from dyncount.cache import make_key
 from dyncount.engine import SearchStats
 from dyncount.formula import count_truth_table, vars_of
 
-from helpers import ALL_CONFIGS, example1_state, random_cnf, session_for
+from helpers import (ALL_CONFIGS, example1_state, random_3cnf, random_cnf,
+                     session_for)
 
 
 def count_once(state, config):
@@ -156,8 +159,8 @@ def test_determinism_of_stats():
 def test_positive_plus_negative_equals_lookups(monkeypatch):
     # One lookup per key built, and every miss is stored. With no unit
     # clause, root propagation leaves example1 as one component equal to
-    # the whole formula, so the root's key misses a second time and its
-    # second store is a no-op; the unit clause x5 removes that coincidence.
+    # the whole formula, whose key is built and looked up only once; the
+    # unit clause x5 gives the root a residual of its own.
     built = []
     real_make_key = engine.make_key
 
@@ -166,7 +169,7 @@ def test_positive_plus_negative_equals_lookups(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(engine, "make_key", recording_make_key)
-    for extra, root_remisses in (((), 1), ((normalize_clause([5]),), 0)):
+    for extra in ((), (normalize_clause([5]),)):
         st = example1_state()
         st.clauses.update(extra)
         for mode in ("no_shared", "shared", "shared_sym"):
@@ -175,7 +178,50 @@ def test_positive_plus_negative_equals_lookups(monkeypatch):
             stats = count(st, EngineConfig(cache_mode=mode), cache).stats
             assert stats.positive_hits + stats.negative_hits == len(built)
             assert set(cache.entries) == set(built)
-            assert stats.negative_hits == len(cache.entries) + root_remisses
+            assert stats.negative_hits == len(cache.entries)
+
+
+# Cumulative session counters after the first count and 12 clause removals
+# (13 counts) on random_3cnf(Random(5), 16, 67), per (mode, heuristic, td):
+# (decisions, propagations, conflicts, positiveHits, cacheEntries,
+# cacheBytes). Taken from the engine before propagation, the component
+# split and key building were rewritten for speed, which must change none
+# of them. negativeHits is left out: the root key is now built once.
+PINNED_COUNTS = [16, 22, 22, 26, 64, 70, 70, 72, 72, 84, 109, 109, 110]
+PINNED_COUNTERS = {
+    ("no_shared", "dlcs", "off"): (277, 1140, 126, 2, 28, 18296),
+    ("no_shared", "dlcs", "shared"): (304, 1136, 92, 65, 32, 16984),
+    ("no_shared", "vsads", "off"): (344, 1324, 98, 18, 32, 20480),
+    ("no_shared", "vsads", "shared"): (313, 1230, 103, 77, 30, 16584),
+    ("shared", "dlcs", "off"): (124, 580, 63, 30, 124, 147344),
+    ("shared", "dlcs", "shared"): (148, 666, 51, 63, 148, 144288),
+    ("shared", "vsads", "off"): (270, 1116, 88, 74, 270, 249120),
+    ("shared", "vsads", "shared"): (203, 956, 94, 67, 203, 218520),
+    ("shared_sym", "dlcs", "off"): (117, 572, 63, 37, 117, 146864),
+    ("shared_sym", "dlcs", "shared"): (142, 658, 51, 67, 142, 143736),
+    ("shared_sym", "vsads", "off"): (249, 1091, 85, 91, 249, 247160),
+    ("shared_sym", "vsads", "shared"): (201, 954, 94, 69, 201, 218392),
+}
+
+
+def test_counters_pinned():
+    rng = random.Random(5)
+    st = random_3cnf(rng, 16, 67)
+    removals = sorted(st.clauses)
+    rng.shuffle(removals)
+    for config in ALL_CONFIGS:
+        session = session_for(config, st)
+        counts = [session.checkpoint_count()]
+        for clause in removals[:12]:
+            session.apply_op(UpdateOp.rem_clause(clause))
+            counts.append(session.checkpoint_count())
+        stats = session.stats
+        counters = (stats.decisions, stats.propagations, stats.conflicts,
+                    stats.positive_hits, len(session.cache.entries),
+                    session.cache.bytes_used)
+        name = (config.cache_mode, config.heuristic, config.td_mode)
+        assert counts == PINNED_COUNTS, name
+        assert counters == PINNED_COUNTERS[name], name
 
 
 def test_long_chain_needs_no_recursion_limit():
@@ -192,6 +238,16 @@ def test_long_chain_needs_no_recursion_limit():
         assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_time_budget_checked_during_propagation():
+    # the unit x1 propagates along the whole chain at the root, so no
+    # component is ever searched; only the check inside propagation can stop it
+    n = 3000
+    clauses = {normalize_clause([-i, i + 1]) for i in range(1, n + 1)}
+    st = FormulaState(set(range(1, n + 2)), clauses | {(1,)})
+    with pytest.raises(ResourceLimitError):
+        count_once(st, EngineConfig(time_budget=0))
 
 
 def test_tiny_budget_still_exact():
