@@ -1,16 +1,15 @@
-"""Build a shared tree decomposition and use it to steer branching.
+"""Measure the treewidth of a formula with a min-fill tree decomposition.
 
-The decomposition is computed once from the primal graph and stays valid
-as long as updates only remove clauses, so a whole removal sequence can
-reuse it.
+The decomposition is built from the primal graph, as `dyncount td` does.
+Removing a clause only deletes edges from that graph, so the old
+decomposition still covers the smaller formula.
 """
 
 import random
 
-from dyncount import (EngineConfig, Session, UpdateOp,
-                      compute_tree_decomposition, normalize_clause)
-from dyncount.formula import FormulaState, primal_graph
-from dyncount.heuristics import select_branch_variable, td_valid_for
+from dyncount import compute_tree_decomposition, normalize_clause
+from dyncount.formula import primal_graph
+from dyncount.heuristics import td_valid_for
 
 rng = random.Random(3)
 n = 14
@@ -25,20 +24,8 @@ print("primal graph: %d vertices, %d edges" % (len(graph.vertices),
                                                len(graph.edges)))
 print("decomposition width:", td.width)
 print("bags:", len(td.bags))
+print("valid:", td_valid_for(td, graph))
 
-plain = select_branch_variable(clauses)
-guided = select_branch_variable(clauses, td=td)
-print("dlcs alone picks x%d, depth-guided picks x%d (depth %d)"
-      % (plain, guided, td.depth_of[guided]))
-
-# clause removals only delete edges, the old decomposition still covers them
 smaller = set(clauses)
 smaller.discard(sorted(smaller)[0])
 print("still valid after a removal:", td_valid_for(td, primal_graph(smaller)))
-
-# a session with td_mode="shared" wires this in automatically
-session = Session(EngineConfig(td_mode="shared", heuristic="vsads"))
-session.replace_state(FormulaState(set(range(1, n + 1)), set(clauses)))
-print("count with shared decomposition:", session.checkpoint_count())
-session.apply_op(UpdateOp("rem_clause", clause=sorted(clauses)[0]))
-print("after one removal:", session.checkpoint_count())

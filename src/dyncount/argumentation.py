@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .formula import FormulaState, normalize_clause
+from .formula import FormulaState
 
 BRUTE_FORCE_ARG_LIMIT = 16
 
@@ -85,6 +85,11 @@ def attacked_var(b):
     return 2 * b
 
 
+def _clause(lits):
+    """Clause tuple in `lit_key` order, for literals over distinct variables."""
+    return tuple(sorted(lits, key=abs))
+
+
 def encode_complete(af):
     """CNF whose model count equals the number of complete extensions.
 
@@ -101,23 +106,24 @@ def encode_complete(af):
 
     clauses = set()
     for b, a in sorted(af.attacks):
-        clauses.add(normalize_clause([-accepted_var(a), -accepted_var(b)]))
+        # a self-attack repeats the literal, which the set collapses
+        clauses.add(_clause({-accepted_var(a), -accepted_var(b)}))
         if b in has_aux:
-            clauses.add(normalize_clause([-accepted_var(a), attacked_var(b)]))
+            clauses.add(_clause([-accepted_var(a), attacked_var(b)]))
         else:
-            clauses.add(normalize_clause([-accepted_var(a)]))
+            clauses.add((-accepted_var(a),))
     for b in sorted(has_aux):
         members = sorted(attackers[b])
-        clauses.add(normalize_clause(
+        clauses.add(_clause(
             [-attacked_var(b)] + [accepted_var(c) for c in members]))
         for c in members:
-            clauses.add(normalize_clause([attacked_var(b), -accepted_var(c)]))
+            clauses.add(_clause([attacked_var(b), -accepted_var(c)]))
     for a in sorted(af.arguments):
         atk = sorted(attackers[a])
         if not atk:
-            clauses.add(normalize_clause([accepted_var(a)]))
+            clauses.add((accepted_var(a),))
         elif all(b in has_aux for b in atk):
-            clauses.add(normalize_clause(
+            clauses.add(_clause(
                 [accepted_var(a)] + [-attacked_var(b) for b in atk]))
         # else: some attacker of a can never be counter-attacked, the
         # completeness clause is vacuously true and is omitted

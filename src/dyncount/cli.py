@@ -16,7 +16,7 @@ from .argumentation import (AfParseError, PerturbationConfig, dynamic_sequence,
                             encode_complete, read_af)
 from .dimacs import DimacsError, parse_dimacs, state_from_dimacs
 from .engine import EngineConfig, ResourceLimitError
-from .formula import primal_graph
+from .formula import FormulaState, primal_graph
 from .heuristics import compute_tree_decomposition
 from .session import PreconditionError, ScriptError, Session, run_script
 from .softcore import SoftCoreConfig, compute_soft_core
@@ -43,10 +43,17 @@ class _UsageError(Exception):
     """A usage error: its text is the usage line and the `error:` line."""
 
 
+class _HelpRequested(Exception):
+    """`--help` or `-h`: its text is the help message."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError("%s%s: error: %s\n"
                           % (self.format_usage(), self.prog, message))
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser():
@@ -54,7 +61,6 @@ def _build_parser():
     shared.add_argument("--mode", choices=sorted(_MODE_NAMES),
                         default="shared-sym")
     shared.add_argument("--heuristic", choices=["dlcs", "vsads"], default="dlcs")
-    shared.add_argument("--td", choices=["off", "shared"], default="off")
     shared.add_argument("--cache-bytes", type=_positive_int,
                         default=512 * 1024 * 1024)
     shared.add_argument("--seed", type=int, default=0)
@@ -79,7 +85,6 @@ def _build_parser():
 def _make_session(args):
     config = EngineConfig(cache_mode=_MODE_NAMES[args.mode],
                           heuristic=args.heuristic,
-                          td_mode=args.td,
                           cache_byte_budget=args.cache_bytes)
     return Session(config)
 
@@ -114,9 +119,8 @@ def _cmd_session(args, out):
 def _cmd_softcore(args, out):
     session = _make_session(args)
     with open(args.file) as fh:
-        text = fh.read()
-    state = state_from_dimacs(text)
-    _, ordered = parse_dimacs(text)
+        n_vars, ordered = parse_dimacs(fh.read())
+    state = FormulaState(set(range(1, n_vars + 1)), set(ordered))
     config = SoftCoreConfig(delta=args.delta)
     result = compute_soft_core(state, config, session, order=ordered)
     out.write("c base %d\n" % result.base_count)
@@ -181,8 +185,9 @@ def run(argv, out=None, err=None):
     except _UsageError as exc:
         err.write(str(exc))
         return 1
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return 0
     try:
         _COMMANDS[args.command](args, out)
     except (DimacsError, AfParseError, ScriptError, PreconditionError) as exc:

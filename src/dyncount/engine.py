@@ -23,7 +23,8 @@ class ResourceLimitError(RuntimeError):
 class EngineConfig:
     cache_mode: str = SHARED_SYM
     heuristic: str = "dlcs"            # dlcs | vsads
-    td_mode: str = "off"               # off | shared
+    # only "off" is accepted; kept because the benchmark runner reads and sets it
+    td_mode: str = "off"
     cache_byte_budget: int = 512 * 1024 * 1024
     time_budget: float | None = None   # seconds per count, None = unlimited
 
@@ -32,7 +33,7 @@ class EngineConfig:
             raise ValueError("unknown cache mode %r" % self.cache_mode)
         if self.heuristic not in ("dlcs", "vsads"):
             raise ValueError("unknown heuristic %r" % self.heuristic)
-        if self.td_mode not in ("off", "shared"):
+        if self.td_mode != "off":
             raise ValueError("unknown td mode %r" % self.td_mode)
         if self.cache_byte_budget <= 0:
             raise ValueError("cache byte budget must be positive")
@@ -111,11 +112,10 @@ def unit_propagate(clauses, assignment, stats=None, check_budget=None):
 class _Search:
     """One count over a fixed state; owns the per-count statistics."""
 
-    def __init__(self, config, cache, conflicts, td):
+    def __init__(self, config, cache, conflicts):
         self.config = config
         self.cache = cache
         self.conflicts = conflicts if conflicts is not None else {}
-        self.td = td if config.td_mode == "shared" else None
         self.sym = config.cache_mode == SHARED_SYM
         self.stats = SearchStats()
         self.deadline = None
@@ -150,7 +150,7 @@ class _Search:
             decisions = ({},)
         else:
             v = select_branch_variable(clauses, self.config.heuristic,
-                                       self.conflicts, self.td)
+                                       self.conflicts)
             self.stats.decisions += 1
             decisions = ({v: True}, {v: False})
         total = 0
@@ -175,7 +175,7 @@ class _Search:
         return total
 
 
-def count(state, config, cache, conflicts=None, td=None):
+def count(state, config, cache, conflicts=None):
     """Exact model count of the state over its active variables.
 
     In no-shared mode the cache is cleared first; in shared modes it is
@@ -191,7 +191,7 @@ def count(state, config, cache, conflicts=None, td=None):
         return CountResult(0, SearchStats())
     occurring = vars_of(clauses)
     free_global = len(state.active_vars) - len(occurring)
-    search = _Search(config, cache, conflicts, td)
+    search = _Search(config, cache, conflicts)
     if not clauses:
         return CountResult(1 << free_global, search.stats)
     stack = [search.solve(frozenset(clauses), occurring, root=True)]

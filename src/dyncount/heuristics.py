@@ -1,9 +1,8 @@
-"""Branching heuristics: DLCS, conflict-scaled VSADS, shared tree decomposition."""
+"""Branching heuristics (DLCS, conflict-scaled VSADS) and a min-fill tree decomposition."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def dlcs_score(clauses, v):
@@ -28,18 +27,15 @@ def record_conflict(conflicts, clause):
 class TreeDecomposition:
     bags: list                  # list of frozensets of variables
     tree_edges: list            # (child_index, parent_index) pairs
-    root: int
     width: int
-    depth_of: dict              # variable -> min depth of a containing bag
-    source_revision: int = 0
 
 
 def _adjacency_lists(graph):
     return {v: set(ns) for v, ns in graph.adjacency().items()}
 
 
-def compute_tree_decomposition(graph, source_revision=0):
-    """Greedy min-fill elimination ordering, rooted at a centroid bag.
+def compute_tree_decomposition(graph):
+    """Greedy min-fill elimination ordering.
 
     Tie-breaks everywhere are by smallest variable / bag index so the
     result is deterministic.
@@ -47,7 +43,7 @@ def compute_tree_decomposition(graph, source_revision=0):
     adj = _adjacency_lists(graph)
     n = len(adj)
     if n == 0:
-        return TreeDecomposition([frozenset()], [], 0, 0, {}, source_revision)
+        return TreeDecomposition([frozenset()], [], 0)
 
     remaining = {v: set(ns) for v, ns in adj.items()}
     bags = []
@@ -83,65 +79,9 @@ def compute_tree_decomposition(graph, source_revision=0):
         elif i + 1 < n:
             parent[i] = i + 1
 
-    tree_adj = {i: set() for i in range(n)}
-    edges = []
-    for i, p in enumerate(parent):
-        if p is not None:
-            tree_adj[i].add(p)
-            tree_adj[p].add(i)
-            edges.append((i, p))
-
-    root = _centroid(tree_adj, n)
-    depths = _bfs_depths(tree_adj, root)
-    depth_of = {}
-    for i, bag in enumerate(bags):
-        for v in bag:
-            d = depth_of.get(v)
-            if d is None or depths[i] < d:
-                depth_of[v] = depths[i]
+    edges = [(i, p) for i, p in enumerate(parent) if p is not None]
     width = max((len(b) for b in bags), default=1) - 1
-    return TreeDecomposition(bags, edges, root, max(width, 0), depth_of, source_revision)
-
-
-def _centroid(tree_adj, n):
-    """Node minimizing the largest component left after its removal."""
-    order = []
-    parent = {0: None}
-    stack = [0]
-    seen = {0}
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in sorted(tree_adj[u]):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                stack.append(w)
-    size = {u: 1 for u in range(n)}
-    for u in reversed(order):
-        if parent[u] is not None:
-            size[parent[u]] += size[u]
-    best, best_cost = 0, None
-    for u in range(n):
-        cost = n - size[u]
-        for w in tree_adj[u]:
-            if w != parent[u]:
-                cost = max(cost, size[w])
-        if best_cost is None or cost < best_cost or (cost == best_cost and u < best):
-            best, best_cost = u, cost
-    return best
-
-
-def _bfs_depths(tree_adj, root):
-    depths = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(tree_adj[u]):
-            if w not in depths:
-                depths[w] = depths[u] + 1
-                queue.append(w)
-    return depths
+    return TreeDecomposition(bags, edges, max(width, 0))
 
 
 def td_valid_for(td, graph):
@@ -157,17 +97,8 @@ def td_valid_for(td, graph):
     return True
 
 
-HYBRID_WEIGHT = 100
-
-
-def select_branch_variable(clauses, heuristic="dlcs", conflicts=None, td=None):
-    """Argmax of the base score, optionally depth-boosted by a shared decomposition.
-
-    With a decomposition, the composite score is compared as
-    base(v)*(D+1) + W*baseMax*(D-depth(v)) over integers, which has the
-    same argmax as base(v) + W*baseMax*(D-depth(v))/(D+1). Variables the
-    decomposition does not know get depth D (lowest priority).
-    """
+def select_branch_variable(clauses, heuristic="dlcs", conflicts=None):
+    """Argmax of the base score; ties go to the smallest variable."""
     conflicts = conflicts or {}
     base = {}
     for c in clauses:
@@ -179,17 +110,4 @@ def select_branch_variable(clauses, heuristic="dlcs", conflicts=None, td=None):
             base[v] *= 1 + conflicts.get(v, 0)
     elif heuristic != "dlcs":
         raise ValueError("unknown heuristic %r" % heuristic)
-
-    if td is None:
-        return min(base, key=lambda v: (-base[v], v))
-
-    known = [td.depth_of[v] for v in base if v in td.depth_of]
-    depth_cap = max(known) if known else 0
-    base_max = max(base.values())
-    best, best_score = None, None
-    for v in sorted(base):
-        depth = td.depth_of.get(v, depth_cap)
-        score = base[v] * (depth_cap + 1) + HYBRID_WEIGHT * base_max * (depth_cap - depth)
-        if best_score is None or score > best_score:
-            best, best_score = v, score
-    return best
+    return min(base, key=lambda v: (-base[v], v))

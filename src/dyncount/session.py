@@ -10,8 +10,7 @@ from . import engine
 from .cache import ComponentCache
 from .dimacs import read_dimacs
 from .engine import EngineConfig, ResourceLimitError, SearchStats
-from .formula import FormulaState, clause_vars, normalize_clause, primal_graph
-from .heuristics import compute_tree_decomposition
+from .formula import FormulaState, clause_vars, normalize_clause
 
 
 class PreconditionError(ValueError):
@@ -80,7 +79,6 @@ class Session:
         self.state = FormulaState()
         self.cache = ComponentCache(self.config.cache_byte_budget)
         self.conflicts = {}
-        self.td = None
         self.counts = []
         self.stats = SearchStats()
         self.last_count_stats = None
@@ -138,8 +136,8 @@ class Session:
         """Install a copy of `state` as one update: the revision goes up by one.
 
         Every clause is checked against `state.active_vars` before anything
-        changes. The cache, the conflict scores and the tree decomposition
-        are kept, so later counts reuse them.
+        changes. The cache and the conflict scores are kept, so later counts
+        reuse them.
         """
         for c in state.clauses:
             missing = clause_vars(c) - state.active_vars
@@ -166,19 +164,10 @@ class Session:
 
     # -- counting ---------------------------------------------------------
 
-    def _prepare_td(self):
-        if self.config.td_mode != "shared":
-            return None
-        if self.td is None:
-            self.td = compute_tree_decomposition(primal_graph(self.state.clauses),
-                                                 self.state.revision)
-        return self.td
-
     def checkpoint_count(self):
         """Count the current state; appends (index, count) to the emitted list."""
-        td = self._prepare_td()
         result = engine.count(self.state, self.config, self.cache,
-                              self.conflicts, td)
+                              self.conflicts)
         index = len(self.counts) + 1
         self.counts.append((index, result.count))
         self.stats.merge(result.stats)

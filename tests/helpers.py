@@ -6,10 +6,9 @@ from dyncount import (ArgumentationFramework, EngineConfig, FormulaState,
                       Session, normalize_clause)
 
 ALL_CONFIGS = [
-    EngineConfig(cache_mode=mode, heuristic=heuristic, td_mode=td)
+    EngineConfig(cache_mode=mode, heuristic=heuristic)
     for mode in ("no_shared", "shared", "shared_sym")
     for heuristic in ("dlcs", "vsads")
-    for td in ("off", "shared")
 ]
 
 
@@ -48,7 +47,6 @@ def random_af(rng, max_args=12):
 def session_for(config, state=None):
     session = Session(EngineConfig(cache_mode=config.cache_mode,
                                    heuristic=config.heuristic,
-                                   td_mode=config.td_mode,
                                    cache_byte_budget=config.cache_byte_budget))
     if state is not None:
         session.state = state.copy()

@@ -4,9 +4,9 @@ import pytest
 
 from dyncount import (ArgumentationFramework, EngineConfig, PerturbationConfig,
                       Session, brute_force_count, dynamic_sequence,
-                      encode_complete, enumerate_complete_bruteforce, parse_af,
-                      perturb)
-from dyncount.argumentation import AfParseError, accepted_var
+                      encode_complete, enumerate_complete_bruteforce,
+                      normalize_clause, parse_af, perturb)
+from dyncount.argumentation import AfParseError, accepted_var, attacked_var
 
 from helpers import random_af, session_for
 
@@ -65,6 +65,40 @@ def test_encoding_matches_oracle_random():
     for _ in range(80):
         af = random_af(rng, max_args=10)
         assert count_encoding(af) == enumerate_complete_bruteforce(af)
+
+
+def _encode_complete_normalized(af):
+    """Reference encoding: every clause goes through normalize_clause."""
+    attackers = af.attackers_of()
+    has_aux = {b for b, _ in af.attacks if attackers[b]}
+    clauses = set()
+    for b, a in af.attacks:
+        clauses.add(normalize_clause([-accepted_var(a), -accepted_var(b)]))
+        if b in has_aux:
+            clauses.add(normalize_clause([-accepted_var(a), attacked_var(b)]))
+        else:
+            clauses.add(normalize_clause([-accepted_var(a)]))
+    for b in has_aux:
+        clauses.add(normalize_clause(
+            [-attacked_var(b)] + [accepted_var(c) for c in attackers[b]]))
+        for c in attackers[b]:
+            clauses.add(normalize_clause([attacked_var(b), -accepted_var(c)]))
+    for a in af.arguments:
+        if not attackers[a]:
+            clauses.add(normalize_clause([accepted_var(a)]))
+        elif attackers[a] <= has_aux:
+            clauses.add(normalize_clause(
+                [accepted_var(a)] + [-attacked_var(b) for b in attackers[a]]))
+    return clauses
+
+
+def test_encoding_clauses_are_normalized():
+    rng = random.Random(67)
+    afs = [af_of(0, []), af_of(1, [(1, 1)])]
+    afs += [random_af(rng, max_args=14) for _ in range(200)]
+    assert any(b == a for af in afs for b, a in af.attacks)
+    for af in afs:
+        assert encode_complete(af).clauses == _encode_complete_normalized(af)
 
 
 def test_auxiliaries_do_not_inflate_count():

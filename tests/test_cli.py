@@ -39,13 +39,11 @@ def test_count_example1(example1_file):
 def test_count_all_modes_agree(example1_file):
     for mode in ("noshared", "shared", "shared-sym"):
         for heuristic in ("dlcs", "vsads"):
-            for td in ("off", "shared"):
-                code, out, _ = invoke(["count", example1_file,
-                                       "--mode", mode,
-                                       "--heuristic", heuristic,
-                                       "--td", td])
-                assert code == 0
-                assert out.splitlines()[0] == "1 10"
+            code, out, _ = invoke(["count", example1_file,
+                                   "--mode", mode,
+                                   "--heuristic", heuristic])
+            assert code == 0
+            assert out.splitlines()[0] == "1 10"
 
 
 def test_stats_lines_are_comments(example1_file):
@@ -177,6 +175,16 @@ def test_usage_errors_go_to_given_err(capsys):
         assert lines[0].startswith("usage: dyncount")
         assert "error:" in lines[-1]
         assert out == ""
+        assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_given_out(capsys):
+    for argv, usage in ((["--help"], "usage: dyncount "),
+                        (["count", "-h"], "usage: dyncount count ")):
+        code, out, err = invoke(argv)
+        assert code == 0, argv
+        assert out.startswith(usage)
+        assert err == ""
         assert capsys.readouterr() == ("", "")
 
 

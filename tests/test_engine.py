@@ -26,6 +26,12 @@ def test_example1_all_configs():
         assert count_once(st, config) == 10
 
 
+def test_td_mode_only_off_accepted():
+    assert EngineConfig(td_mode="off").td_mode == "off"
+    with pytest.raises(ValueError):
+        EngineConfig(td_mode="shared")
+
+
 def test_unsat_pair():
     st = FormulaState({1}, {normalize_clause([1]), normalize_clause([-1])})
     for config in ALL_CONFIGS:
@@ -182,25 +188,19 @@ def test_positive_plus_negative_equals_lookups(monkeypatch):
 
 
 # Cumulative session counters after the first count and 12 clause removals
-# (13 counts) on random_3cnf(Random(5), 16, 67), per (mode, heuristic, td):
+# (13 counts) on random_3cnf(Random(5), 16, 67), per (mode, heuristic):
 # (decisions, propagations, conflicts, positiveHits, cacheEntries,
 # cacheBytes). Taken from the engine before propagation, the component
 # split and key building were rewritten for speed, which must change none
 # of them. negativeHits is left out: the root key is now built once.
 PINNED_COUNTS = [16, 22, 22, 26, 64, 70, 70, 72, 72, 84, 109, 109, 110]
 PINNED_COUNTERS = {
-    ("no_shared", "dlcs", "off"): (277, 1140, 126, 2, 28, 18296),
-    ("no_shared", "dlcs", "shared"): (304, 1136, 92, 65, 32, 16984),
-    ("no_shared", "vsads", "off"): (344, 1324, 98, 18, 32, 20480),
-    ("no_shared", "vsads", "shared"): (313, 1230, 103, 77, 30, 16584),
-    ("shared", "dlcs", "off"): (124, 580, 63, 30, 124, 147344),
-    ("shared", "dlcs", "shared"): (148, 666, 51, 63, 148, 144288),
-    ("shared", "vsads", "off"): (270, 1116, 88, 74, 270, 249120),
-    ("shared", "vsads", "shared"): (203, 956, 94, 67, 203, 218520),
-    ("shared_sym", "dlcs", "off"): (117, 572, 63, 37, 117, 146864),
-    ("shared_sym", "dlcs", "shared"): (142, 658, 51, 67, 142, 143736),
-    ("shared_sym", "vsads", "off"): (249, 1091, 85, 91, 249, 247160),
-    ("shared_sym", "vsads", "shared"): (201, 954, 94, 69, 201, 218392),
+    ("no_shared", "dlcs"): (277, 1140, 126, 2, 28, 18296),
+    ("no_shared", "vsads"): (344, 1324, 98, 18, 32, 20480),
+    ("shared", "dlcs"): (124, 580, 63, 30, 124, 147344),
+    ("shared", "vsads"): (270, 1116, 88, 74, 270, 249120),
+    ("shared_sym", "dlcs"): (117, 572, 63, 37, 117, 146864),
+    ("shared_sym", "vsads"): (249, 1091, 85, 91, 249, 247160),
 }
 
 
@@ -219,7 +219,7 @@ def test_counters_pinned():
         counters = (stats.decisions, stats.propagations, stats.conflicts,
                     stats.positive_hits, len(session.cache.entries),
                     session.cache.bytes_used)
-        name = (config.cache_mode, config.heuristic, config.td_mode)
+        name = (config.cache_mode, config.heuristic)
         assert counts == PINNED_COUNTS, name
         assert counters == PINNED_COUNTERS[name], name
 

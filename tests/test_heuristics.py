@@ -141,23 +141,6 @@ def test_select_example1_tie_breaks_low():
     assert select_branch_variable(example1_state().clauses, "dlcs") == 1
 
 
-def test_select_depth_dominates_under_default_weight():
-    clauses = {normalize_clause([1, 2, 3, 4]), normalize_clause([-1, -2, -3, -4])}
-    g = primal_graph(clauses)
-    td = compute_tree_decomposition(g)
-    td.depth_of = {1: 2, 2: 2, 3: 2, 4: 0}
-    assert select_branch_variable(clauses, "dlcs", td=td) == 4
-
-
-def test_select_minimal_depth_beats_any_base_score():
-    # strictly fewer than 100 distinct base scores: depth must win
-    clauses = {normalize_clause([1, 2]), normalize_clause([1, 3]),
-               normalize_clause([1, -4]), normalize_clause([4, 2])}
-    td = compute_tree_decomposition(primal_graph(clauses))
-    td.depth_of = {1: 3, 2: 3, 3: 3, 4: 1}
-    assert select_branch_variable(clauses, "dlcs", td=td) == 4
-
-
 def test_select_scale_invariance_via_conflicts():
     # multiplying all base scores by a constant keeps the argmax
     rng = random.Random(31)
