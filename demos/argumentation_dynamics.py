@@ -15,12 +15,12 @@ print("arguments:", sorted(af.arguments))
 print("attacks:", sorted(af.attacks))
 print("complete extensions:", enumerate_complete_bruteforce(af))
 
-session = Session(EngineConfig(cache_mode="shared_sym"))
+session = Session(EngineConfig(cache_mode="shared"))
 session.replace_state(encode_complete(af))
 print("engine agrees:", session.checkpoint_count())
 
 config = PerturbationConfig(steps=10, seed=42)
-session = Session(EngineConfig(cache_mode="shared_sym"))
+session = Session(EngineConfig(cache_mode="shared"))
 for record in dynamic_sequence(af, config, session):
     print("step %2d %-16s args=%2d count=%d"
           % (record.step, record.tag, len(record.af.arguments), record.count))

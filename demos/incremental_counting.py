@@ -5,7 +5,7 @@ Run with: python3 demos/incremental_counting.py
 
 from dyncount import EngineConfig, Session, UpdateBatch, UpdateOp
 
-session = Session(EngineConfig(cache_mode="shared_sym"))
+session = Session(EngineConfig(cache_mode="shared"))
 
 # start with three free variables: 2^3 assignments, nothing constrained yet
 for v in (1, 2, 3):

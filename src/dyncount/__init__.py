@@ -1,7 +1,6 @@
 """Incremental exact model counter with a persistent component cache."""
 
-from .cache import (ComponentCache, build_renaming, canonicalize,
-                    frequency_profile, make_key, sort_profile)
+from .cache import ComponentCache, make_key
 from .engine import (CountResult, EngineConfig, ResourceLimitError, SearchStats,
                      count, unit_propagate)
 from .formula import (Component, FormulaState, PrimalGraph, brute_force_count,

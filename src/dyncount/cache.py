@@ -1,78 +1,18 @@
-"""Persistent component cache with explicit keys and symmetry canonicalization.
+"""Persistent component cache keyed by explicit clause sets.
 
-A cache key is always the component's own clause list (never indices into
+A cache key is always the component's own clause set (never indices into
 a global formula), so a key collision implies the two components are the
-same formula. In symmetry mode every key is built from the clause list
-renamed through a frequency-derived literal permutation, so isomorphic
-components collide.
+same formula.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 
-def frequency_profile(clauses):
-    """Per-variable literal pair ordered by increasing clause-occurrence count.
-
-    Returns {var: (first_literal, first_count, second_count)}. On a count
-    tie the negative literal comes first.
-    """
-    counts = Counter(chain.from_iterable(clauses))
-    profile = {}
-    for l in counts:
-        v = abs(l)
-        if v not in profile:
-            pos = counts.get(v, 0)
-            neg = counts.get(-v, 0)
-            profile[v] = (v, pos, neg) if pos < neg else (-v, neg, pos)
-    return profile
-
-
-def sort_profile(profile):
-    """Order the pairs by (first count, second count), ties by variable id.
-
-    Returns a list of (variable, first_literal).
-    """
-    order = sorted([(p[1], p[2], v) for v, p in profile.items()])
-    return [(v, profile[v][0]) for _, _, v in order]
-
-
-def build_renaming(ordered_pairs):
-    """Literal permutation from the sorted profile.
-
-    The first literal of the pair at position i maps to the negative
-    literal of variable i; complements follow, so the map is stable.
-    """
-    sigma = {}
-    for i, (_, first) in enumerate(ordered_pairs, 1):
-        sigma[first] = -i
-        sigma[-first] = i
-    return sigma
-
-
-def canonicalize(clauses):
-    """Quasi-canonical key: apply the frequency renaming and renormalize.
-
-    Returns (key, sigma). The key's formula has the same model count as
-    the input; under frequency-profile ties the form is only
-    quasi-canonical, which costs hits but never soundness.
-    """
-    sigma = build_renaming(sort_profile(frequency_profile(clauses)))
-    # the native sort puts -l before l; the stable sort by abs then gives
-    # the lit_key order of normalize_clause, tautological clauses included
-    rename = sigma.__getitem__
-    renamed = {tuple(sorted(sorted(map(rename, c)), key=abs)) for c in clauses}
-    return tuple(sorted(renamed)), sigma
-
-
-def make_key(clauses, symmetry=False):
-    """The clause set as a tuple of clauses in native tuple order."""
-    if symmetry:
-        return canonicalize(clauses)[0]
-    return tuple(sorted(clauses))
+def make_key(clauses):
+    """The clause set itself, as a frozenset (a frozenset input is returned as is)."""
+    return frozenset(clauses)
 
 
 def key_bytes(key):
@@ -86,7 +26,7 @@ class CacheEntry:
     byte_size: int
     hits: int = 0
     created_seq: int = 0
-    last_touched_revision: int = 0
+    last_touched_epoch: int = 0
 
 
 class ComponentCache:
@@ -102,7 +42,7 @@ class ComponentCache:
         self.byte_budget = byte_budget
         self.entries = {}
         self.bytes_used = 0
-        self.revision = 0
+        self.epoch = 0  # advanced once per count
         self._seq = 0
         self.evictions = 0  # cumulative; clear() keeps it
 
@@ -116,7 +56,7 @@ class ComponentCache:
         if entry is None:
             return None
         entry.hits += 1
-        entry.last_touched_revision = self.revision
+        entry.last_touched_epoch = self.epoch
         return entry.count
 
     def store(self, key, count):
@@ -126,7 +66,7 @@ class ComponentCache:
         if size > self.byte_budget:
             return  # a key that cannot fit is simply not cached
         self._seq += 1
-        self.entries[key] = CacheEntry(count, size, 0, self._seq, self.revision)
+        self.entries[key] = CacheEntry(count, size, 0, self._seq, self.epoch)
         self.bytes_used += size
         if self.bytes_used > self.byte_budget:
             self.evict()
@@ -137,7 +77,7 @@ class ComponentCache:
 
         def score(item):
             entry = item[1]
-            age = max(1, self.revision - entry.last_touched_revision + 1)
+            age = max(1, self.epoch - entry.last_touched_epoch + 1)
             return (entry.hits / age, entry.created_seq)
 
         for key, entry in sorted(self.entries.items(), key=score):

@@ -21,8 +21,7 @@ from .heuristics import compute_tree_decomposition
 from .session import PreconditionError, ScriptError, Session, run_script
 from .softcore import SoftCoreConfig, compute_soft_core
 
-_MODE_NAMES = {"noshared": "no_shared", "shared": "shared",
-               "shared-sym": "shared_sym"}
+_MODE_NAMES = {"noshared": "no_shared", "shared": "shared"}
 
 
 def _positive_int(text):
@@ -59,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--mode", choices=sorted(_MODE_NAMES),
-                        default="shared-sym")
+                        default="shared")
     shared.add_argument("--heuristic", choices=["dlcs", "vsads"], default="dlcs")
     shared.add_argument("--cache-bytes", type=_positive_int,
                         default=512 * 1024 * 1024)

@@ -11,8 +11,7 @@ from .heuristics import record_conflict, select_branch_variable
 
 NO_SHARED = "no_shared"
 SHARED = "shared"
-SHARED_SYM = "shared_sym"
-CACHE_MODES = (NO_SHARED, SHARED, SHARED_SYM)
+CACHE_MODES = (NO_SHARED, SHARED)
 
 
 class ResourceLimitError(RuntimeError):
@@ -21,7 +20,7 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass
 class EngineConfig:
-    cache_mode: str = SHARED_SYM
+    cache_mode: str = SHARED
     heuristic: str = "dlcs"            # dlcs | vsads
     # only "off" is accepted; kept because the benchmark runner reads and sets it
     td_mode: str = "off"
@@ -116,7 +115,6 @@ class _Search:
         self.config = config
         self.cache = cache
         self.conflicts = conflicts if conflicts is not None else {}
-        self.sym = config.cache_mode == SHARED_SYM
         self.stats = SearchStats()
         self.deadline = None
         if config.time_budget is not None:
@@ -140,7 +138,7 @@ class _Search:
         by the caller has just missed, so it is not looked up again.
         """
         if key is None:
-            key = make_key(clauses, self.sym)
+            key = make_key(clauses)
             hit = self.cache.lookup(key)
             if hit is not None:
                 self.stats.positive_hits += 1
@@ -178,15 +176,17 @@ class _Search:
 def count(state, config, cache, conflicts=None):
     """Exact model count of the state over its active variables.
 
-    In no-shared mode the cache is cleared first; in shared modes it is
-    reused and extended. Deterministic for fixed inputs and cache content.
+    In no-shared mode the cache is cleared first; in shared mode it is
+    reused and extended. Each count advances the cache's epoch, the unit
+    in which entry age is measured. Deterministic for fixed inputs and
+    cache content.
     The search runs on an explicit stack of `_Search.solve` generators, so
     its depth is bounded by memory, not by the interpreter's recursion limit.
     """
     if config.cache_mode == NO_SHARED:
         cache.clear()
-    cache.revision = state.revision
-    clauses = {c for c in state.clauses if not is_tautology(c)}
+    cache.epoch += 1
+    clauses = frozenset(c for c in state.clauses if not is_tautology(c))
     if () in clauses:
         return CountResult(0, SearchStats())
     occurring = vars_of(clauses)
@@ -194,7 +194,7 @@ def count(state, config, cache, conflicts=None):
     search = _Search(config, cache, conflicts)
     if not clauses:
         return CountResult(1 << free_global, search.stats)
-    stack = [search.solve(frozenset(clauses), occurring, root=True)]
+    stack = [search.solve(clauses, occurring, root=True)]
     sent = None
     while stack:
         try:

@@ -72,14 +72,13 @@ def sort_clauses(clauses):
 
 @dataclass
 class FormulaState:
-    """Evolving pair of (active variable set, clause set) with a revision counter."""
+    """Evolving pair of (active variable set, clause set)."""
 
     active_vars: set = field(default_factory=set)
     clauses: set = field(default_factory=set)
-    revision: int = 0
 
     def copy(self):
-        return FormulaState(set(self.active_vars), set(self.clauses), self.revision)
+        return FormulaState(set(self.active_vars), set(self.clauses))
 
     def check(self):
         for c in self.clauses:
@@ -114,7 +113,7 @@ def condition(clauses, assignment):
 class Component:
     """A maximal variable-disjoint group of clauses."""
 
-    clauses: tuple
+    clauses: frozenset
     variables: frozenset
 
 
@@ -149,7 +148,7 @@ def decompose_components(clauses):
                     home[1].extend(group[1])
         home[1].append(c)
     groups = {id(group): group for group in group_of.values()}.values()
-    return [Component(tuple(sorted(cl, key=clause_key)), frozenset(vs))
+    return [Component(frozenset(cl), frozenset(vs))
             for _, vs, cl in sorted([(min(vs), vs, cl) for vs, cl in groups])]
 
 

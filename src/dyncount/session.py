@@ -129,11 +129,10 @@ class Session:
             return self
         else:
             raise ValueError("unknown op kind %r" % kind)
-        state.revision += 1
         return self
 
     def replace_state(self, state):
-        """Install a copy of `state` as one update: the revision goes up by one.
+        """Install a copy of `state` in place of the current one.
 
         Every clause is checked against `state.active_vars` before anything
         changes. The cache and the conflict scores are kept, so later counts
@@ -145,9 +144,7 @@ class Session:
                 raise PreconditionError(
                     "replace_state: clause %r uses inactive variable %d"
                     % (c, min(missing)))
-        installed = state.copy()
-        installed.revision = self.state.revision + 1
-        self.state = installed
+        self.state = state.copy()
         return self
 
     def apply_batch(self, batch):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .session import UpdateOp
@@ -13,15 +13,10 @@ from .formula import sort_clauses
 @dataclass
 class SoftCoreConfig:
     delta: float = 0.20
-    clause_order: str = "input-order"  # input-order | reverse | seeded-shuffle
-    shuffle_seed: int = 0
-    absolute_threshold: int | None = None
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        if self.clause_order not in ("input-order", "reverse", "seeded-shuffle"):
-            raise ValueError("unknown clause order %r" % self.clause_order)
+        if not math.isfinite(self.delta) or self.delta < 0:
+            raise ValueError("delta must be a finite number >= 0")
 
 
 @dataclass
@@ -43,31 +38,16 @@ class SoftCoreResult:
 
 
 def threshold_for(base_count, config):
-    """ceil((1 + delta) * base) unless an absolute threshold is configured."""
-    if config.absolute_threshold is not None:
-        return config.absolute_threshold
+    """ceil((1 + delta) * base)."""
     factor = 1 + Fraction(config.delta).limit_denominator(10 ** 6)
     scaled = base_count * factor
     return -((-scaled.numerator) // scaled.denominator)
 
 
-def _ordered_clauses(state, config, order):
+def _ordered_clauses(state, order):
     if order is None:
-        order = sort_clauses(state.clauses)
-    else:
-        seen = set()
-        deduped = []
-        for c in order:
-            if c in state.clauses and c not in seen:
-                seen.add(c)
-                deduped.append(c)
-        order = deduped
-    if config.clause_order == "reverse":
-        order = list(reversed(order))
-    elif config.clause_order == "seeded-shuffle":
-        order = list(order)
-        random.Random(config.shuffle_seed).shuffle(order)
-    return order
+        return sort_clauses(state.clauses)
+    return list(dict.fromkeys(c for c in order if c in state.clauses))
 
 
 def compute_soft_core(state, config, session, order=None):
@@ -84,7 +64,7 @@ def compute_soft_core(state, config, session, order=None):
     session.replace_state(state)
     base = session.checkpoint_count()
     threshold = threshold_for(base, config)
-    clauses = _ordered_clauses(state, config, order)
+    clauses = _ordered_clauses(state, order)
 
     removed = set()
     per_step = []

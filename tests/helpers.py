@@ -7,7 +7,7 @@ from dyncount import (ArgumentationFramework, EngineConfig, FormulaState,
 
 ALL_CONFIGS = [
     EngineConfig(cache_mode=mode, heuristic=heuristic)
-    for mode in ("no_shared", "shared", "shared_sym")
+    for mode in ("no_shared", "shared")
     for heuristic in ("dlcs", "vsads")
 ]
 

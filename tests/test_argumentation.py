@@ -187,7 +187,7 @@ def test_operation_histogram():
 
 def test_dynamic_sequence_counts_match_oracle():
     config = PerturbationConfig(steps=25, seed=11)
-    session = Session(EngineConfig(cache_mode="shared_sym"))
+    session = Session(EngineConfig(cache_mode="shared"))
     af = af_of(6, [(1, 2), (2, 3), (4, 5)])
     records = dynamic_sequence(af, config, session)
     assert len(records) == 25
@@ -199,7 +199,7 @@ def test_dynamic_sequence_counts_match_oracle():
 def test_dynamic_sequence_mode_independent():
     af = af_of(5, [(1, 2), (2, 1), (3, 4)])
     reference = None
-    for mode in ("no_shared", "shared", "shared_sym"):
+    for mode in ("no_shared", "shared"):
         for heuristic in ("dlcs", "vsads"):
             session = Session(EngineConfig(cache_mode=mode,
                                            heuristic=heuristic))

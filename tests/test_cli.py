@@ -37,7 +37,7 @@ def test_count_example1(example1_file):
 
 
 def test_count_all_modes_agree(example1_file):
-    for mode in ("noshared", "shared", "shared-sym"):
+    for mode in ("noshared", "shared"):
         for heuristic in ("dlcs", "vsads"):
             code, out, _ = invoke(["count", example1_file,
                                    "--mode", mode,
@@ -80,7 +80,7 @@ def test_session_cache_transparency(tmp_path, example1_file):
     # counting the same formula twice must give the same value in every mode
     script = tmp_path / "twice.txt"
     script.write_text("load %s\ncount\ncount\nquit\n" % example1_file)
-    for mode in ("noshared", "shared", "shared-sym"):
+    for mode in ("noshared", "shared"):
         code, out, _ = invoke(["session", str(script), "--mode", mode])
         assert code == 0
         results = [l for l in out.splitlines() if not l.startswith("c ")]
@@ -168,7 +168,8 @@ def test_out_of_range_flags_exit_1(example1_file):
 
 
 def test_usage_errors_go_to_given_err(capsys):
-    for argv in ([], ["count", "x.cnf", "--mode", "bogus"]):
+    for argv in ([], ["count", "x.cnf", "--mode", "bogus"],
+                 ["count", "x.cnf", "--mode", "shared-sym"]):
         code, out, err = invoke(argv)
         assert code == 1, argv
         lines = err.splitlines()

@@ -78,20 +78,34 @@ def test_replace_state_rejects_inactive_variable():
         session.replace_state(bad)
     assert session.state.active_vars == before.active_vars
     assert session.state.clauses == before.clauses
-    assert session.state.revision == before.revision
 
 
-def test_replace_state_bumps_revision_and_keeps_cache():
+def test_replace_state_installs_copy_and_keeps_cache():
     session = loaded_session(EngineConfig(cache_mode="shared"))
     assert session.checkpoint_count() == 10
-    revision = session.state.revision
     new_state = example1_state()
     session.replace_state(new_state)
-    assert session.state.revision == revision + 1
     new_state.clauses.clear()
     assert session.state.clauses == example1_state().clauses
     assert session.checkpoint_count() == 10
     assert session.last_count_stats.decisions == 0
+
+
+def test_cache_age_ignores_ops_between_counts():
+    # entry age is measured in counts, so the number of ops that lead to
+    # the same formula leaves the cache, ages included, the same
+    one_op = loaded_session(EngineConfig(cache_mode="shared"))
+    many_ops = loaded_session(EngineConfig(cache_mode="shared"))
+    for session in (one_op, many_ops):
+        session.checkpoint_count()
+    one_op.apply_op(UpdateOp.add_var(6))
+    for v in range(6, 106):
+        many_ops.apply_op(UpdateOp.add_var(v))
+    for v in range(7, 106):
+        many_ops.apply_op(UpdateOp.rem_var(v))
+    for session in (one_op, many_ops):
+        assert session.checkpoint_count() == 20
+    assert one_op.cache.entries == many_ops.cache.entries
 
 
 def test_empty_batch_no_change():
@@ -99,7 +113,6 @@ def test_empty_batch_no_change():
     before = session.state.copy()
     session.apply_batch(UpdateBatch([]))
     assert session.state.clauses == before.clauses
-    assert session.state.revision == before.revision
 
 
 def test_batch_atomic_rollback():
@@ -113,7 +126,6 @@ def test_batch_atomic_rollback():
     assert info.value.index == 2
     assert session.state.active_vars == before.active_vars
     assert session.state.clauses == before.clauses
-    assert session.state.revision == before.revision
 
 
 def test_add_var_then_unit_halves_relative_to_var_alone():

@@ -23,9 +23,10 @@ def test_threshold_arithmetic():
     assert threshold_for(0, config) == 0
 
 
-def test_absolute_threshold_flag():
-    config = SoftCoreConfig(delta=0.2, absolute_threshold=7)
-    assert threshold_for(100, config) == 7
+def test_non_finite_delta_rejected():
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SoftCoreConfig(delta=delta)
 
 
 def test_degenerate_single_clause_kept():
@@ -88,8 +89,11 @@ def test_verify_accepts_own_result():
     for _ in range(10):
         state = random_cnf(rng, rng.randint(3, 10), rng.randint(3, 15))
         config = SoftCoreConfig()
-        result = run_softcore(state, config)
-        assert verify_soft_core(state, result, config)
+        shuffled = sorted(state.clauses)
+        rng.shuffle(shuffled)
+        for order in (None, shuffled, shuffled[::-1]):
+            result = run_softcore(state, config, order=order)
+            assert verify_soft_core(state, result, config)
 
 
 def test_verify_rejects_tampered_membership():
@@ -131,9 +135,10 @@ def test_monotonicity_and_threshold_random():
 def test_determinism_per_order():
     rng = random.Random(83)
     state = random_cnf(rng, 8, 14)
-    config = SoftCoreConfig(clause_order="seeded-shuffle", shuffle_seed=4)
-    a = run_softcore(state, config)
-    b = run_softcore(state, config)
+    order = sorted(state.clauses)
+    random.Random(4).shuffle(order)
+    a = run_softcore(state, order=order)
+    b = run_softcore(state, order=order)
     assert a.removed_indices == b.removed_indices
     assert [s.count for s in a.per_step] == [s.count for s in b.per_step]
 
