@@ -2,7 +2,9 @@
 
 A cache key is always the component's own clause set (never indices into
 a global formula), so a key collision implies the two components are the
-same formula.
+same formula. The search hands its clauses over as int masks (see
+`formula.clause_mask`), and a mask determines its clause's literal set,
+so a frozenset of masks is still the clause set itself.
 """
 
 from __future__ import annotations
@@ -11,13 +13,17 @@ from dataclasses import dataclass
 
 
 def make_key(clauses):
-    """The clause set itself, as a frozenset (a frozenset input is returned as is)."""
+    """The clause set itself, as a frozenset of clause masks.
+
+    A frozenset input is returned as is.
+    """
     return frozenset(clauses)
 
 
 def key_bytes(key):
-    # documented size model: per-entry overhead + per-clause + per-literal
-    return 32 + 16 * len(key) + 8 * sum(len(c) for c in key)
+    # documented size model: per-entry overhead + per-clause + per-literal;
+    # a clause mask has one bit per literal
+    return 32 + 16 * len(key) + 8 * sum(c.bit_count() for c in key)
 
 
 @dataclass

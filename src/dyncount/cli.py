@@ -8,6 +8,7 @@ Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -175,6 +176,24 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift Python's limit on the digits of an int printed in decimal.
+
+    Counts can have more than the default 4300 digits. The limit (absent
+    before Python 3.10.7) is restored on exit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
@@ -188,8 +207,10 @@ def run(argv, out=None, err=None):
         out.write(str(exc))
         return 0
     try:
-        _COMMANDS[args.command](args, out)
-    except (DimacsError, AfParseError, ScriptError, PreconditionError) as exc:
+        with _any_int_length():
+            _COMMANDS[args.command](args, out)
+    except (DimacsError, AfParseError, ScriptError, PreconditionError,
+            UnicodeDecodeError) as exc:
         err.write("error: %s\n" % exc)
         return 2
     except ResourceLimitError as exc:

@@ -6,7 +6,8 @@ import time
 from dataclasses import dataclass, field
 
 from .cache import make_key
-from .formula import decompose_components, is_tautology, vars_of
+from .formula import (clause_mask, decompose_components, even_bits,
+                      mask_clause, negate, vars_of)
 from .heuristics import record_conflict, select_branch_variable
 
 NO_SHARED = "no_shared"
@@ -61,51 +62,59 @@ class CountResult:
 
 
 def unit_propagate(clauses, assignment, stats=None, check_budget=None):
-    """Condition on the assignment and propagate units to fixpoint.
+    """Condition clause masks on an assignment and propagate units to fixpoint.
 
-    Returns (residual clause set, extended assignment, None) on success or
-    (None, assignment, falsified original clause) on conflict. The conflict
-    clause is the input clause whose residual became empty, for VSADS.
+    `assignment` is the mask of the literals made true. Returns (residual
+    clause masks, extended assignment mask, None) on success or (None,
+    assignment, conflict clause) on conflict. The conflict clause is an
+    input clause whose every literal is false once the conflicting units
+    are set, for VSADS.
 
     Each round tests the clauses against the literals made true and made
     false by the previous round's units (the first round: by the incoming
     assignment); a clause that meets neither passes through unchanged.
+    A clause c is satisfied if `c & true`, loses its false literals as
+    `c & ~false`, and is a unit if `c & (c - 1)` is 0.
     `check_budget`, if given, is called once per round.
     """
-    assignment = dict(assignment)
-    true = {v if val else -v for v, val in assignment.items()}
-    pending = [(c, c) for c in clauses]
+    true = assignment
+    pending = clauses
     while True:
         if check_budget is not None:
             check_budget()
-        false = {-l for l in true}
+        false = negate(true)
         touched = true | false
+        keep = ~false
         reduced = []
-        units = set()
-        for pair in pending:
-            cur = pair[1]
-            if touched.isdisjoint(cur):
-                if len(cur) > 1:
-                    reduced.append(pair)
+        units = 0
+        for c in pending:
+            if c & touched:
+                if c & true:
                     continue
-            elif true.isdisjoint(cur):
-                cur = tuple([l for l in cur if l not in false])
-                if len(cur) > 1:
-                    reduced.append((pair[0], cur))
-                    continue
+                c &= keep
+                if not c:
+                    return None, assignment, _falsified(clauses, assignment)
+            if c & (c - 1):
+                reduced.append(c)
             else:
-                continue
-            if not cur or -cur[0] in units:
-                return None, assignment, pair[0]
-            units.add(cur[0])
+                units |= c
         if not units:
-            return {cur for _, cur in reduced}, assignment, None
-        for l in units:
-            assignment[abs(l)] = l > 0
+            return reduced, assignment, None
+        if units & negate(units):
+            return None, assignment, _falsified(clauses, assignment | units)
+        assignment |= units
         if stats is not None:
-            stats.propagations += len(units)
+            stats.propagations += units.bit_count()
         true = units
         pending = reduced
+
+
+def _falsified(clauses, true):
+    """The first clause all of whose literals are the negation of one in `true`."""
+    false = negate(true)
+    for c in clauses:
+        if not c & ~false:
+            return c
 
 
 class _Search:
@@ -128,14 +137,16 @@ class _Search:
                 raise ResourceLimitError("count exceeded the configured time budget")
 
     def solve(self, clauses, variables, root=False, key=None):
-        """Count `clauses` over exactly `variables` (all occurring in them).
+        """Count clause masks over exactly the variables of mask `variables`.
 
-        Cache lookup, then one branch per value of the heuristic's pick (the
-        root takes a single branch with no decision), propagation, free-variable
-        factoring and a split into components. A generator: it yields the
-        search of each component and is sent back that component's count; it
-        returns the total, which it has stored in the cache. A `key` given
-        by the caller has just missed, so it is not looked up again.
+        `variables` has both literal bits of each variable set, and every
+        one of them occurs in the clauses. Cache lookup, then one branch
+        per value of the heuristic's pick (the root takes a single branch
+        with no decision), propagation, free-variable factoring and a split
+        into components. A generator: it yields the search of each
+        component and is sent back that component's count; it returns the
+        total, which it has stored in the cache. A `key` given by the
+        caller has just missed, so it is not looked up again.
         """
         if key is None:
             key = make_key(clauses)
@@ -145,27 +156,28 @@ class _Search:
                 return hit
             self.stats.negative_hits += 1
         if root:
-            decisions = ({},)
+            decisions = (0,)
         else:
             v = select_branch_variable(clauses, self.config.heuristic,
                                        self.conflicts)
             self.stats.decisions += 1
-            decisions = ({v: True}, {v: False})
+            decisions = (1 << 2 * v + 1, 1 << 2 * v)
         total = 0
         for decision in decisions:
             residual, assignment, conflict = unit_propagate(
                 clauses, decision, self.stats, self._check_budget)
             if conflict is not None:
-                record_conflict(self.conflicts, conflict)
+                record_conflict(self.conflicts, mask_clause(conflict))
                 self.stats.conflicts += 1
                 continue
             comps = decompose_components(residual)
-            free = (len(variables) - len(assignment)
-                    - sum(len(comp.variables) for comp in comps))
+            free_bits = variables.bit_count() - 2 * assignment.bit_count()
+            for comp in comps:
+                free_bits -= comp.variables.bit_count()
             # a root that propagation leaves unit-free and connected is its
             # own one component, whose key has just missed
             known = key if root and not assignment and len(comps) == 1 else None
-            branch = 1 << free
+            branch = 1 << (free_bits >> 1)
             for comp in comps:
                 branch *= yield self.solve(comp.clauses, comp.variables, key=known)
             total += branch
@@ -180,21 +192,32 @@ def count(state, config, cache, conflicts=None):
     reused and extended. Each count advances the cache's epoch, the unit
     in which entry age is measured. Deterministic for fixed inputs and
     cache content.
+    Each clause is encoded once per count as an int mask (`clause_mask`),
+    and propagation, the component split, branching and cache keys all
+    work on those masks; their cost grows with the highest variable index.
     The search runs on an explicit stack of `_Search.solve` generators, so
     its depth is bounded by memory, not by the interpreter's recursion limit.
     """
     if config.cache_mode == NO_SHARED:
         cache.clear()
     cache.epoch += 1
-    clauses = frozenset(c for c in state.clauses if not is_tautology(c))
-    if () in clauses:
+    encoded = {clause_mask(c): c for c in state.clauses}
+    if 0 in encoded:
         return CountResult(0, SearchStats())
-    occurring = vars_of(clauses)
+    if encoded:
+        # a tautology has both bits of some variable set
+        even = even_bits(max(encoded).bit_length())
+        for m in [m for m in encoded if m & m >> 1 & even]:
+            del encoded[m]
+    occurring = vars_of(encoded.values())
     free_global = len(state.active_vars) - len(occurring)
     search = _Search(config, cache, conflicts)
-    if not clauses:
+    if not encoded:
         return CountResult(1 << free_global, search.stats)
-    stack = [search.solve(clauses, occurring, root=True)]
+    variables = 0
+    for v in occurring:
+        variables |= 3 << 2 * v
+    stack = [search.solve(frozenset(encoded), variables, root=True)]
     sent = None
     while stack:
         try:

@@ -3,6 +3,12 @@
 Literals are DIMACS-style signed integers (3 means x3, -3 means not-x3).
 A clause is a tuple of literals in normalized order; a clause set uses
 Python set semantics over those tuples.
+
+Inside a count, the search works on clause masks instead: one int per
+clause, with bit 2*|l| + (l > 0) set for each literal l (`clause_mask`).
+Variable v owns bits 2v (for -v) and 2v + 1 (for v); a set of variables is
+the mask with both bits of each variable set. Mask operations cost time
+in proportion to the highest variable index, not to the clause length.
 """
 
 from __future__ import annotations
@@ -33,6 +39,40 @@ def clause_key(clause):
     literals exactly as lit_key does, so the keys compare in C.
     """
     return tuple([2 * l + 1 if l > 0 else -2 * l for l in clause])
+
+
+def clause_mask(clause):
+    """The clause as an int: bit 2*|l| + (l > 0) set for each literal l."""
+    mask = 0
+    for l in clause:
+        mask |= 1 << (2 * l + 1 if l > 0 else -2 * l)
+    return mask
+
+
+def mask_clause(mask):
+    """Inverse of clause_mask: the normalized clause tuple of a mask."""
+    lits = []
+    while mask:
+        low = mask & -mask
+        bit = low.bit_length() - 1
+        lits.append(bit >> 1 if bit & 1 else -(bit >> 1))
+        mask ^= low
+    return tuple(lits)
+
+
+def even_bits(width):
+    """The mask 0b...0101 with every even bit below `width` set.
+
+    Bit 2v is the negative literal of v, so `mask & even_bits(w)` keeps
+    the negative literals of a mask of width at most w.
+    """
+    return ((1 << (width | 1) + 1) - 1) // 3
+
+
+def negate(mask):
+    """The mask of the negations of the literals set in `mask`."""
+    even = even_bits(mask.bit_length())
+    return (mask & even) << 1 | (mask >> 1) & even
 
 
 def normalize_clause(raw):
@@ -111,45 +151,41 @@ def condition(clauses, assignment):
 
 @dataclass(frozen=True)
 class Component:
-    """A maximal variable-disjoint group of clauses."""
+    """A maximal variable-disjoint group of clause masks."""
 
     clauses: frozenset
-    variables: frozenset
+    variables: int      # both literal bits of each of its variables
 
 
 def decompose_components(clauses):
-    """Partition clauses into variable-connected groups, ordered by smallest variable.
+    """Partition clause masks into variable-connected groups, ordered by smallest variable.
 
-    One pass over the clauses: each variable points at its group (its
-    variables and clauses), and when a clause joins two groups the smaller
-    one is merged into the larger.
+    A group grows from one clause. Its cover is the mask of both literal
+    bits of each of its variables, so a clause shares a variable with the
+    group exactly when it meets the cover. Each pass over the clauses
+    still left takes in every clause that meets the cover, and the cover
+    is closed over partner bits between passes, until a pass takes in none.
     """
-    if () in clauses:
-        raise ValueError("cannot decompose a clause set containing the empty clause")
-    group_of = {}
-    for c in clauses:
-        home = None
-        for v in map(abs, c):
-            group = group_of.get(v)
-            if group is None:
-                if home is None:
-                    home = ([], [])
-                home[0].append(v)
-                group_of[v] = home
-            elif group is not home:
-                if home is None:
-                    home = group
+    rest = list(clauses)
+    groups = []
+    while rest:
+        cover = rest.pop()
+        members = [cover]
+        while True:
+            cover |= negate(cover)
+            left = []
+            for c in rest:
+                if c & cover:
+                    members.append(c)
+                    cover |= c
                 else:
-                    if len(group[0]) > len(home[0]):
-                        group, home = home, group
-                    for u in group[0]:
-                        group_of[u] = home
-                    home[0].extend(group[0])
-                    home[1].extend(group[1])
-        home[1].append(c)
-    groups = {id(group): group for group in group_of.values()}.values()
-    return [Component(frozenset(cl), frozenset(vs))
-            for _, vs, cl in sorted([(min(vs), vs, cl) for vs, cl in groups])]
+                    left.append(c)
+            if len(left) == len(rest):
+                break
+            rest = left
+        groups.append((cover & -cover, cover, members))
+    groups.sort()
+    return [Component(frozenset(members), cover) for _, cover, members in groups]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .formula import even_bits
+
 
 def dlcs_score(clauses, v):
-    """Number of clauses containing v in either polarity."""
+    """Number of clause tuples containing v in either polarity.
+
+    The scalar definition that select_branch_variable computes for all
+    variables at once.
+    """
     return sum(1 for c in clauses if v in c or -v in c)
 
 
@@ -98,16 +104,70 @@ def td_valid_for(td, graph):
 
 
 def select_branch_variable(clauses, heuristic="dlcs", conflicts=None):
-    """Argmax of the base score; ties go to the smallest variable."""
-    conflicts = conflicts or {}
-    base = {}
-    for c in clauses:
-        for l in c:
-            v = abs(l)
-            base[v] = base.get(v, 0) + 1
-    if heuristic == "vsads":
-        for v in base:
-            base[v] *= 1 + conflicts.get(v, 0)
-    elif heuristic != "dlcs":
+    """Argmax of the base score over clause masks; ties go to the smallest variable.
+
+    The DLCS score of v is the number of clauses containing v; VSADS
+    multiplies it by 1 + the conflicts credited to v. Occurrences are
+    counted for every literal bit at once, in bit-sliced counters: slice i
+    holds bit i of each literal's count, and adding a clause ripples a
+    carry up the slices. The two literal counts of each variable are then
+    added slice by slice, and the DLCS argmax is read from the top slice
+    down; of the variables left, the lowest set bit is the smallest.
+    """
+    if heuristic not in ("dlcs", "vsads"):
         raise ValueError("unknown heuristic %r" % heuristic)
-    return min(base, key=lambda v: (-base[v], v))
+    ones = twos = fours = 0     # bits 0, 1 and 2 of each literal's count
+    higher = []                 # bits 3, 4, ...
+    for c in clauses:
+        carry = ones & c
+        ones ^= c
+        if carry:
+            c = twos & carry
+            twos ^= carry
+            if c:
+                carry = fours & c
+                fours ^= c
+                if carry:
+                    _increment(higher, carry)
+    counts = [ones, twos, fours] + higher
+    # per-variable sums land on the even bits (the odd bits add unrelated pairs)
+    totals = []
+    carry = 0
+    for s in counts:
+        t = s >> 1
+        totals.append(s ^ t ^ carry)
+        carry = (s & t) | (carry & (s ^ t))
+    totals.append(carry)
+    best = even_bits(max(counts).bit_length())
+    if heuristic == "vsads" and conflicts:
+        return _vsads_pick(totals, best, conflicts)
+    for s in reversed(totals):
+        if best & s:
+            best &= s
+    return (best & -best).bit_length() - 1 >> 1
+
+
+def _increment(counts, carry):
+    """Add 1 at each bit of `carry` to the bit-sliced counters `counts`."""
+    for i, s in enumerate(counts):
+        counts[i] = s ^ carry
+        carry &= s
+        if not carry:
+            return
+    counts.append(carry)
+
+
+def _vsads_pick(totals, even, conflicts):
+    """VSADS argmax over the per-variable counts held in bit-sliced `totals`."""
+    present = 0
+    for s in totals:
+        present |= s
+    present &= even
+    score = {}
+    while present:
+        low = present & -present
+        bit = low.bit_length() - 1
+        dlcs = sum(((s >> bit) & 1) << i for i, s in enumerate(totals))
+        score[bit >> 1] = dlcs * (1 + conflicts.get(bit >> 1, 0))
+        present ^= low
+    return min(score, key=lambda v: (-score[v], v))

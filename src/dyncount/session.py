@@ -120,12 +120,18 @@ class Session:
             state.active_vars.clear()
             state.clauses.clear()
         elif kind == "load":
-            # expands to add_var per header variable then add_clause per clause
+            # expands to add_var per header variable then add_clause per
+            # clause; a failure leaves the state as it was
             n_vars, clauses = read_dimacs(op.path)
-            for v in range(1, n_vars + 1):
-                self.apply_op(UpdateOp.add_var(v))
-            for c in clauses:
-                self.apply_op(UpdateOp("add_clause", clause=c))
+            saved = state.copy()
+            try:
+                for v in range(1, n_vars + 1):
+                    self.apply_op(UpdateOp.add_var(v))
+                for c in clauses:
+                    self.apply_op(UpdateOp("add_clause", clause=c))
+            except Exception:
+                self.state = saved
+                raise
             return self
         else:
             raise ValueError("unknown op kind %r" % kind)

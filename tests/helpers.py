@@ -4,6 +4,7 @@ import random
 
 from dyncount import (ArgumentationFramework, EngineConfig, FormulaState,
                       Session, normalize_clause)
+from dyncount.formula import clause_mask, mask_clause
 
 ALL_CONFIGS = [
     EngineConfig(cache_mode=mode, heuristic=heuristic)
@@ -59,3 +60,18 @@ EXAMPLE1 = [[1, 2, 3], [-1, -2, -3], [4, -1], [5, 1], [5, 2, 3], [4, -2, -3]]
 def example1_state():
     return FormulaState(set(range(1, 6)),
                         {normalize_clause(c) for c in EXAMPLE1})
+
+
+def masks(clauses):
+    """Clause tuples as the clause masks the search layers take."""
+    return frozenset(map(clause_mask, clauses))
+
+
+def clauses_of(clause_masks):
+    """Clause masks back as the set of clause tuples."""
+    return set(map(mask_clause, clause_masks))
+
+
+def var_set(variables):
+    """The variables of a variable mask (both literal bits per variable)."""
+    return {abs(l) for l in mask_clause(variables)}

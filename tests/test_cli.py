@@ -1,3 +1,4 @@
+import decimal
 import io
 import os
 import shutil
@@ -207,6 +208,33 @@ def test_malformed_af_exit_2(tmp_path):
     path.write_text("1 2\n")
     code, _, err = invoke(["af-count", str(path)])
     assert code == 2
+
+
+def test_non_utf8_file_exit_2_for_every_command(tmp_path):
+    path = tmp_path / "garbage.bin"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    for command in ("count", "session", "softcore", "af-count", "af-dynamic",
+                    "td"):
+        code, out, err = invoke([command, str(path)])
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error:"), command
+
+
+def test_count_prints_counts_of_any_length(tmp_path):
+    # 2**15000 has 4516 digits, past Python's default limit of 4300; the
+    # expected digits come from decimal, which that limit does not cover
+    path = tmp_path / "free.cnf"
+    path.write_text("p cnf 15000 0\n")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5000
+        expected = str(decimal.Decimal(2) ** 15000)
+    assert len(expected) == 4516
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = invoke(["count", str(path)])
+    assert (code, err) == (0, "")
+    assert out == "1 %s\n" % expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_stdout_purity(example1_file):

@@ -10,10 +10,10 @@ from dyncount import (ComponentCache, EngineConfig, FormulaState,
                       condition, count, normalize_clause, unit_propagate)
 from dyncount.cache import make_key
 from dyncount.engine import SearchStats
-from dyncount.formula import count_truth_table, vars_of
+from dyncount.formula import clause_mask, count_truth_table, vars_of
 
-from helpers import (ALL_CONFIGS, example1_state, random_3cnf, random_cnf,
-                     session_for)
+from helpers import (ALL_CONFIGS, clauses_of, example1_state, masks,
+                     random_3cnf, random_cnf, session_for)
 
 
 def count_once(state, config):
@@ -55,25 +55,25 @@ def test_tautological_clauses_skipped():
 
 def test_unit_propagate_chains():
     clauses = {normalize_clause([1]), normalize_clause([-1, 2])}
-    residual, assignment, conflict = unit_propagate(clauses, {})
+    residual, assignment, conflict = unit_propagate(masks(clauses), 0)
     assert conflict is None
-    assert residual == set()
-    assert assignment == {1: True, 2: True}
+    assert clauses_of(residual) == set()
+    assert assignment == clause_mask((1, 2))  # the literals made true
 
 
 def test_unit_propagate_conflict_names_original_clause():
     clauses = {normalize_clause([1]), normalize_clause([-1])}
-    residual, _, conflict = unit_propagate(clauses, {})
+    residual, _, conflict = unit_propagate(masks(clauses), 0)
     assert residual is None
-    assert conflict in clauses
+    assert conflict in masks(clauses)
 
 
 def test_unit_propagate_no_units_unchanged():
     phi = condition(example1_state().clauses, {3: True})
-    residual, assignment, conflict = unit_propagate(phi, {})
+    residual, assignment, conflict = unit_propagate(masks(phi), 0)
     assert conflict is None
-    assert residual == phi
-    assert assignment == {}
+    assert clauses_of(residual) == phi
+    assert assignment == 0
 
 
 def test_component_counts_small_golden_cases():
@@ -190,16 +190,17 @@ def test_positive_plus_negative_equals_lookups(monkeypatch):
 # (decisions, propagations, conflicts, positiveHits, cacheEntries,
 # cacheBytes). The DLCS rows were taken from the engine before propagation,
 # the component split and key building were rewritten for speed, which
-# must change none of them. The VSADS rows depend on the clause order
-# inside a component, which decides the conflict clause that is credited;
-# they were re-taken when components became frozensets. negativeHits is
-# left out: the root key is now built once.
+# must change none of them. The VSADS rows depend on which clause gets the
+# credit for a conflict, which depends on clause order inside a component;
+# they were re-taken when components became frozensets and again when the
+# search moved to clause masks. negativeHits is left out: the root key is
+# now built once.
 PINNED_COUNTS = [16, 22, 22, 26, 64, 70, 70, 72, 72, 84, 109, 109, 110]
 PINNED_COUNTERS = {
     ("no_shared", "dlcs"): (277, 1140, 126, 2, 28, 18296),
-    ("no_shared", "vsads"): (331, 1186, 100, 4, 34, 19016),
+    ("no_shared", "vsads"): (321, 1153, 104, 26, 37, 21600),
     ("shared", "dlcs"): (124, 580, 63, 30, 124, 147344),
-    ("shared", "vsads"): (183, 831, 71, 39, 183, 192416),
+    ("shared", "vsads"): (231, 913, 85, 46, 231, 204560),
 }
 
 

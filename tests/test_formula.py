@@ -5,10 +5,12 @@ import pytest
 from dyncount import (FormulaState, brute_force_count, condition,
                       decompose_components, is_tautology, normalize_clause,
                       primal_graph)
+from dyncount.cache import make_key
 from dyncount.formula import (MalformedLiteralError, TooManyVariablesError,
-                              count_truth_table, vars_of)
+                              clause_key, clause_mask, count_truth_table,
+                              mask_clause, vars_of)
 
-from helpers import example1_state, random_cnf
+from helpers import clauses_of, example1_state, masks, random_cnf, var_set
 
 
 def test_normalize_sort_and_dedup():
@@ -59,9 +61,9 @@ def test_condition_falsified_unit_gives_empty_clause():
 
 def test_decompose_disjoint_groups():
     clauses = {normalize_clause(c) for c in [[1, 2], [-2, 3], [4, 5]]}
-    comps = decompose_components(clauses)
-    assert [sorted(c.variables) for c in comps] == [[1, 2, 3], [4, 5]]
-    assert set().union(*(set(c.clauses) for c in comps)) == clauses
+    comps = decompose_components(masks(clauses))
+    assert [sorted(var_set(c.variables)) for c in comps] == [[1, 2, 3], [4, 5]]
+    assert set().union(*(clauses_of(c.clauses) for c in comps)) == clauses
 
 
 def test_decompose_empty():
@@ -70,9 +72,9 @@ def test_decompose_empty():
 
 def test_decompose_residual_is_one_component():
     phi = condition(example1_state().clauses, {3: True})
-    comps = decompose_components(phi)
+    comps = decompose_components(masks(phi))
     assert len(comps) == 1
-    assert comps[0].variables == frozenset({1, 2, 4, 5})
+    assert var_set(comps[0].variables) == {1, 2, 4, 5}
 
 
 def test_decompose_variable_sets_disjoint_random():
@@ -80,12 +82,12 @@ def test_decompose_variable_sets_disjoint_random():
     for _ in range(30):
         st = random_cnf(rng, rng.randint(3, 12), rng.randint(2, 20))
         clauses = {c for c in st.clauses if c}
-        comps = decompose_components(clauses)
+        comps = decompose_components(masks(clauses))
         seen = set()
         for comp in comps:
-            assert not (comp.variables & seen)
-            seen |= comp.variables
-        assert set().union(*(set(c.clauses) for c in comps), set()) == clauses
+            assert not (var_set(comp.variables) & seen)
+            seen |= var_set(comp.variables)
+        assert set().union(*(clauses_of(c.clauses) for c in comps), set()) == clauses
 
 
 def test_primal_graph_clause_clique():
@@ -145,7 +147,53 @@ def test_component_factorization_random():
             continue
         free = len(st.active_vars - vars_of(clauses))
         product = 1 << free
-        for comp in decompose_components(clauses):
-            product *= count_truth_table(comp.clauses, comp.variables)
+        for comp in decompose_components(masks(clauses)):
+            product *= count_truth_table(clauses_of(comp.clauses),
+                                         var_set(comp.variables))
         assert product == brute_force_count(
             FormulaState(st.active_vars, clauses))
+
+
+def test_clause_mask_uses_the_clause_key_literal_code():
+    assert clause_mask(()) == 0
+    assert clause_mask((-1,)) == 1 << 2
+    assert clause_mask((1,)) == 1 << 3
+    for clause in [(-1, 2), (3, -70, 9999), (-10000, 10000)]:
+        clause = normalize_clause(clause)
+        mask = clause_mask(clause)
+        assert mask.bit_count() == len(clause)
+        assert all(mask >> code & 1 for code in clause_key(clause))
+
+
+def test_mask_round_trip_both_polarities_and_large_variables():
+    rng = random.Random(13)
+    fixed = [(), (1,), (-1,), (-1, 1), (63, -64, 65), (-65, 66, -9999),
+             (-9998, 9999, 10000)]
+    drawn = [[rng.choice([1, -1]) * rng.randint(1, top)
+              for _ in range(rng.randint(1, 6))]
+             for top in (8, 64, 200, 10000) for _ in range(50)]
+    for raw in fixed + drawn:
+        clause = normalize_clause(raw)
+        assert mask_clause(clause_mask(clause)) == clause
+
+
+def test_mask_is_injective():
+    rng = random.Random(19)
+    seen = {}
+    for _ in range(2000):
+        top = rng.choice((4, 70, 10000))
+        clause = normalize_clause([rng.choice([1, -1]) * rng.randint(1, top)
+                                   for _ in range(rng.randint(1, 4))])
+        assert seen.setdefault(clause_mask(clause), clause) == clause
+
+
+def test_different_clause_sets_give_different_keys():
+    # the same literal bits in total, split into clauses differently
+    units = {normalize_clause([1]), normalize_clause([-2])}
+    joined = {normalize_clause([1, -2])}
+    assert make_key(masks(units)) != make_key(masks(joined))
+    # the same variables with one polarity flipped
+    assert (make_key(masks({normalize_clause([1, 2])}))
+            != make_key(masks({normalize_clause([-1, 2])})))
+    assert (make_key(masks({normalize_clause([-9999, 10000])}))
+            != make_key(masks({normalize_clause([9999, 10000])})))

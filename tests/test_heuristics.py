@@ -5,7 +5,7 @@ from dyncount import (compute_tree_decomposition, condition, dlcs_score,
                       select_branch_variable, td_valid_for, vsads_score)
 from dyncount.formula import PrimalGraph
 
-from helpers import example1_state, random_cnf
+from helpers import example1_state, masks, random_cnf
 
 
 def phi_x3():
@@ -33,8 +33,8 @@ def test_vsads_matches_dlcs_without_conflicts():
         clauses = {c for c in st.clauses if c}
         if not clauses:
             continue
-        assert (select_branch_variable(clauses, "dlcs")
-                == select_branch_variable(clauses, "vsads", {}))
+        assert (select_branch_variable(masks(clauses), "dlcs")
+                == select_branch_variable(masks(clauses), "vsads", {}))
 
 
 def test_record_conflict_counts_clause_variables():
@@ -134,11 +134,11 @@ def test_td_invalid_for_new_edge_and_vertex():
 
 def test_select_dlcs_plain():
     clauses = {normalize_clause([1, 2, 3]), normalize_clause([-1, 4])}
-    assert select_branch_variable(clauses, "dlcs") == 1
+    assert select_branch_variable(masks(clauses), "dlcs") == 1
 
 
 def test_select_example1_tie_breaks_low():
-    assert select_branch_variable(example1_state().clauses, "dlcs") == 1
+    assert select_branch_variable(masks(example1_state().clauses), "dlcs") == 1
 
 
 def test_select_scale_invariance_via_conflicts():
@@ -150,7 +150,23 @@ def test_select_scale_invariance_via_conflicts():
         if not clauses:
             continue
         scale = {v: 6 for c in clauses for l in c for v in (abs(l),)}
-        plain = select_branch_variable(clauses, "vsads", {})
-        scaled = select_branch_variable(clauses, "vsads",
+        plain = select_branch_variable(masks(clauses), "vsads", {})
+        scaled = select_branch_variable(masks(clauses), "vsads",
                                         {v: 5 for v in scale})
         assert plain == scaled
+
+
+def test_select_matches_scalar_scores_random():
+    # the bit-sliced counters against the per-variable definitions; dense
+    # formulas push counts past 8, into the slices kept in a list
+    rng = random.Random(37)
+    for _ in range(60):
+        st = random_cnf(rng, rng.randint(1, 8), rng.randint(1, 60))
+        clauses = {c for c in st.clauses if c}
+        variables = sorted({abs(l) for c in clauses for l in c})
+        dlcs = min(variables, key=lambda v: (-dlcs_score(clauses, v), v))
+        assert select_branch_variable(masks(clauses), "dlcs") == dlcs
+        conflicts = {v: rng.randint(0, 3) for v in variables}
+        vsads = min(variables,
+                    key=lambda v: (-vsads_score(clauses, v, conflicts), v))
+        assert select_branch_variable(masks(clauses), "vsads", conflicts) == vsads

@@ -150,6 +150,19 @@ def test_reset_load_round_trip(tmp_path):
     assert session.checkpoint_count() == 10
 
 
+def test_failed_load_leaves_state_unchanged(tmp_path):
+    path = tmp_path / "five.cnf"
+    path.write_text("p cnf 5 1\n1 2 0\n")
+    session = Session()
+    session.apply_op(UpdateOp.add_var(3))
+    before = session.state.copy()
+    with pytest.raises(PreconditionError):
+        session.apply_op(UpdateOp.load(str(path)))  # variable 3 is active
+    assert session.state.active_vars == before.active_vars == {3}
+    assert session.state.clauses == before.clauses
+    assert session.checkpoint_count() == 2
+
+
 def test_checkpoint_indices_consecutive():
     session = loaded_session()
     session.checkpoint_count()
