@@ -7,8 +7,7 @@ from .formula import (Component, FormulaState, PrimalGraph, brute_force_count,
                       condition, count_truth_table, decompose_components,
                       is_tautology, normalize_clause, primal_graph)
 from .heuristics import (TreeDecomposition, compute_tree_decomposition,
-                         dlcs_score, record_conflict, select_branch_variable,
-                         td_valid_for, vsads_score)
+                         dlcs_score, select_branch_variable, td_valid_for)
 from .session import (BatchError, DuplicateClauseWarning, PreconditionError,
                       Session, UpdateBatch, UpdateOp, run_script)
 from .argumentation import (ArgumentationFramework, PerturbationConfig,

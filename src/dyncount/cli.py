@@ -60,7 +60,6 @@ def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--mode", choices=sorted(_MODE_NAMES),
                         default="shared")
-    shared.add_argument("--heuristic", choices=["dlcs", "vsads"], default="dlcs")
     shared.add_argument("--cache-bytes", type=_positive_int,
                         default=512 * 1024 * 1024)
     shared.add_argument("--seed", type=int, default=0)
@@ -84,7 +83,6 @@ def _build_parser():
 
 def _make_session(args):
     config = EngineConfig(cache_mode=_MODE_NAMES[args.mode],
-                          heuristic=args.heuristic,
                           cache_byte_budget=args.cache_bytes)
     return Session(config)
 

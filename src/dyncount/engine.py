@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import make_key
-from .formula import (clause_mask, decompose_components, even_bits,
-                      mask_clause, negate, vars_of)
-from .heuristics import record_conflict, select_branch_variable
+from .formula import (clause_mask, decompose_components, even_bits, negate,
+                      vars_of)
+from .heuristics import select_branch_variable
 
 NO_SHARED = "no_shared"
 SHARED = "shared"
@@ -22,8 +22,9 @@ class ResourceLimitError(RuntimeError):
 @dataclass
 class EngineConfig:
     cache_mode: str = SHARED
-    heuristic: str = "dlcs"            # dlcs | vsads
-    # only "off" is accepted; kept because the benchmark runner reads and sets it
+    # heuristic accepts only "dlcs" and td_mode only "off"; both are kept
+    # because the benchmark runner reads and sets them
+    heuristic: str = "dlcs"
     td_mode: str = "off"
     cache_byte_budget: int = 512 * 1024 * 1024
     time_budget: float | None = None   # seconds per count, None = unlimited
@@ -31,7 +32,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.cache_mode not in CACHE_MODES:
             raise ValueError("unknown cache mode %r" % self.cache_mode)
-        if self.heuristic not in ("dlcs", "vsads"):
+        if self.heuristic != "dlcs":
             raise ValueError("unknown heuristic %r" % self.heuristic)
         if self.td_mode != "off":
             raise ValueError("unknown td mode %r" % self.td_mode)
@@ -65,10 +66,8 @@ def unit_propagate(clauses, assignment, stats=None, check_budget=None):
     """Condition clause masks on an assignment and propagate units to fixpoint.
 
     `assignment` is the mask of the literals made true. Returns (residual
-    clause masks, extended assignment mask, None) on success or (None,
-    assignment, conflict clause) on conflict. The conflict clause is an
-    input clause whose every literal is false once the conflicting units
-    are set, for VSADS.
+    clause masks, extended assignment mask) on success or (None,
+    assignment) on conflict.
 
     Each round tests the clauses against the literals made true and made
     false by the previous round's units (the first round: by the incoming
@@ -93,15 +92,15 @@ def unit_propagate(clauses, assignment, stats=None, check_budget=None):
                     continue
                 c &= keep
                 if not c:
-                    return None, assignment, _falsified(clauses, assignment)
+                    return None, assignment
             if c & (c - 1):
                 reduced.append(c)
             else:
                 units |= c
         if not units:
-            return reduced, assignment, None
+            return reduced, assignment
         if units & negate(units):
-            return None, assignment, _falsified(clauses, assignment | units)
+            return None, assignment
         assignment |= units
         if stats is not None:
             stats.propagations += units.bit_count()
@@ -109,21 +108,11 @@ def unit_propagate(clauses, assignment, stats=None, check_budget=None):
         pending = reduced
 
 
-def _falsified(clauses, true):
-    """The first clause all of whose literals are the negation of one in `true`."""
-    false = negate(true)
-    for c in clauses:
-        if not c & ~false:
-            return c
-
-
 class _Search:
     """One count over a fixed state; owns the per-count statistics."""
 
-    def __init__(self, config, cache, conflicts):
-        self.config = config
+    def __init__(self, config, cache):
         self.cache = cache
-        self.conflicts = conflicts if conflicts is not None else {}
         self.stats = SearchStats()
         self.deadline = None
         if config.time_budget is not None:
@@ -141,7 +130,7 @@ class _Search:
 
         `variables` has both literal bits of each variable set, and every
         one of them occurs in the clauses. Cache lookup, then one branch
-        per value of the heuristic's pick (the root takes a single branch
+        per value of the DLCS pick (the root takes a single branch
         with no decision), propagation, free-variable factoring and a split
         into components. A generator: it yields the search of each
         component and is sent back that component's count; it returns the
@@ -158,16 +147,14 @@ class _Search:
         if root:
             decisions = (0,)
         else:
-            v = select_branch_variable(clauses, self.config.heuristic,
-                                       self.conflicts)
+            v = select_branch_variable(clauses)
             self.stats.decisions += 1
             decisions = (1 << 2 * v + 1, 1 << 2 * v)
         total = 0
         for decision in decisions:
-            residual, assignment, conflict = unit_propagate(
+            residual, assignment = unit_propagate(
                 clauses, decision, self.stats, self._check_budget)
-            if conflict is not None:
-                record_conflict(self.conflicts, mask_clause(conflict))
+            if residual is None:
                 self.stats.conflicts += 1
                 continue
             comps = decompose_components(residual)
@@ -185,7 +172,7 @@ class _Search:
         return total
 
 
-def count(state, config, cache, conflicts=None):
+def count(state, config, cache):
     """Exact model count of the state over its active variables.
 
     In no-shared mode the cache is cleared first; in shared mode it is
@@ -211,7 +198,7 @@ def count(state, config, cache, conflicts=None):
             del encoded[m]
     occurring = vars_of(encoded.values())
     free_global = len(state.active_vars) - len(occurring)
-    search = _Search(config, cache, conflicts)
+    search = _Search(config, cache)
     if not encoded:
         return CountResult(1 << free_global, search.stats)
     variables = 0

@@ -1,4 +1,4 @@
-"""Branching heuristics (DLCS, conflict-scaled VSADS) and a min-fill tree decomposition."""
+"""The DLCS branching rule and a min-fill tree decomposition."""
 
 from __future__ import annotations
 
@@ -14,19 +14,6 @@ def dlcs_score(clauses, v):
     variables at once.
     """
     return sum(1 for c in clauses if v in c or -v in c)
-
-
-def vsads_score(clauses, v, conflicts):
-    """DLCS scaled by conflict participation; the +1 keeps fresh variables selectable."""
-    return dlcs_score(clauses, v) * (1 + conflicts.get(v, 0))
-
-
-def record_conflict(conflicts, clause):
-    """Credit every variable of the clause that propagated empty."""
-    for l in clause:
-        v = abs(l)
-        conflicts[v] = conflicts.get(v, 0) + 1
-    return conflicts
 
 
 @dataclass
@@ -103,19 +90,16 @@ def td_valid_for(td, graph):
     return True
 
 
-def select_branch_variable(clauses, heuristic="dlcs", conflicts=None):
-    """Argmax of the base score over clause masks; ties go to the smallest variable.
+def select_branch_variable(clauses):
+    """Argmax of the DLCS score over clause masks; ties go to the smallest variable.
 
-    The DLCS score of v is the number of clauses containing v; VSADS
-    multiplies it by 1 + the conflicts credited to v. Occurrences are
-    counted for every literal bit at once, in bit-sliced counters: slice i
-    holds bit i of each literal's count, and adding a clause ripples a
-    carry up the slices. The two literal counts of each variable are then
-    added slice by slice, and the DLCS argmax is read from the top slice
-    down; of the variables left, the lowest set bit is the smallest.
+    The DLCS score of v is the number of clauses containing v. Occurrences
+    are counted for every literal bit at once, in bit-sliced counters:
+    slice i holds bit i of each literal's count, and adding a clause
+    ripples a carry up the slices. The two literal counts of each variable
+    are then added slice by slice, and the argmax is read from the top
+    slice down; of the variables left, the lowest set bit is the smallest.
     """
-    if heuristic not in ("dlcs", "vsads"):
-        raise ValueError("unknown heuristic %r" % heuristic)
     ones = twos = fours = 0     # bits 0, 1 and 2 of each literal's count
     higher = []                 # bits 3, 4, ...
     for c in clauses:
@@ -139,8 +123,6 @@ def select_branch_variable(clauses, heuristic="dlcs", conflicts=None):
         carry = (s & t) | (carry & (s ^ t))
     totals.append(carry)
     best = even_bits(max(counts).bit_length())
-    if heuristic == "vsads" and conflicts:
-        return _vsads_pick(totals, best, conflicts)
     for s in reversed(totals):
         if best & s:
             best &= s
@@ -155,19 +137,3 @@ def _increment(counts, carry):
         if not carry:
             return
     counts.append(carry)
-
-
-def _vsads_pick(totals, even, conflicts):
-    """VSADS argmax over the per-variable counts held in bit-sliced `totals`."""
-    present = 0
-    for s in totals:
-        present |= s
-    present &= even
-    score = {}
-    while present:
-        low = present & -present
-        bit = low.bit_length() - 1
-        dlcs = sum(((s >> bit) & 1) << i for i, s in enumerate(totals))
-        score[bit >> 1] = dlcs * (1 + conflicts.get(bit >> 1, 0))
-        present ^= low
-    return min(score, key=lambda v: (-score[v], v))

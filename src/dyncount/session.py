@@ -72,13 +72,12 @@ class UpdateBatch:
 
 
 class Session:
-    """One evolving formula plus the engine, cache and heuristic state it shares."""
+    """One evolving formula plus the engine and cache it shares."""
 
     def __init__(self, config=None):
         self.config = config or EngineConfig()
         self.state = FormulaState()
         self.cache = ComponentCache(self.config.cache_byte_budget)
-        self.conflicts = {}
         self.counts = []
         self.stats = SearchStats()
         self.last_count_stats = None
@@ -141,8 +140,7 @@ class Session:
         """Install a copy of `state` in place of the current one.
 
         Every clause is checked against `state.active_vars` before anything
-        changes. The cache and the conflict scores are kept, so later counts
-        reuse them.
+        changes. The cache is kept, so later counts reuse it.
         """
         for c in state.clauses:
             missing = clause_vars(c) - state.active_vars
@@ -169,8 +167,7 @@ class Session:
 
     def checkpoint_count(self):
         """Count the current state; appends (index, count) to the emitted list."""
-        result = engine.count(self.state, self.config, self.cache,
-                              self.conflicts)
+        result = engine.count(self.state, self.config, self.cache)
         index = len(self.counts) + 1
         self.counts.append((index, result.count))
         self.stats.merge(result.stats)

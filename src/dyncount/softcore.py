@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .session import UpdateOp
+from .session import PreconditionError, UpdateOp
 from .formula import sort_clauses
 
 
@@ -56,11 +56,11 @@ def compute_soft_core(state, config, session, order=None):
 
     `order` is the input clause order (duplicates collapse to their first
     occurrence); when omitted the normalized sorted order is used. Every
-    intermediate count flows through the session, so cache and heuristic
-    sharing applies across the m+1 checkpoints.
+    intermediate count flows through the session, so the cache is shared
+    across the m+1 checkpoints.
     """
     if not state.clauses:
-        raise ValueError("soft core needs at least one clause")
+        raise PreconditionError("soft core needs at least one clause")
     session.replace_state(state)
     base = session.checkpoint_count()
     threshold = threshold_for(base, config)

@@ -6,11 +6,7 @@ from dyncount import (ArgumentationFramework, EngineConfig, FormulaState,
                       Session, normalize_clause)
 from dyncount.formula import clause_mask, mask_clause
 
-ALL_CONFIGS = [
-    EngineConfig(cache_mode=mode, heuristic=heuristic)
-    for mode in ("no_shared", "shared")
-    for heuristic in ("dlcs", "vsads")
-]
+ALL_CONFIGS = [EngineConfig(cache_mode=mode) for mode in ("no_shared", "shared")]
 
 
 def random_cnf(rng, n_vars, n_clauses, max_len=3):
@@ -47,7 +43,6 @@ def random_af(rng, max_args=12):
 
 def session_for(config, state=None):
     session = Session(EngineConfig(cache_mode=config.cache_mode,
-                                   heuristic=config.heuristic,
                                    cache_byte_budget=config.cache_byte_budget))
     if state is not None:
         session.state = state.copy()

@@ -200,16 +200,14 @@ def test_dynamic_sequence_mode_independent():
     af = af_of(5, [(1, 2), (2, 1), (3, 4)])
     reference = None
     for mode in ("no_shared", "shared"):
-        for heuristic in ("dlcs", "vsads"):
-            session = Session(EngineConfig(cache_mode=mode,
-                                           heuristic=heuristic))
-            config = PerturbationConfig(steps=15, seed=5)
-            records = dynamic_sequence(af, config, session)
-            outcome = [(r.step, r.tag, r.count, r.af) for r in records]
-            if reference is None:
-                reference = outcome
-            else:
-                assert outcome == reference
+        session = Session(EngineConfig(cache_mode=mode))
+        config = PerturbationConfig(steps=15, seed=5)
+        records = dynamic_sequence(af, config, session)
+        outcome = [(r.step, r.tag, r.count, r.af) for r in records]
+        if reference is None:
+            reference = outcome
+        else:
+            assert outcome == reference
 
 
 def test_forced_delete_attack_on_mutual_pair():

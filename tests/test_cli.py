@@ -39,12 +39,9 @@ def test_count_example1(example1_file):
 
 def test_count_all_modes_agree(example1_file):
     for mode in ("noshared", "shared"):
-        for heuristic in ("dlcs", "vsads"):
-            code, out, _ = invoke(["count", example1_file,
-                                   "--mode", mode,
-                                   "--heuristic", heuristic])
-            assert code == 0
-            assert out.splitlines()[0] == "1 10"
+        code, out, _ = invoke(["count", example1_file, "--mode", mode])
+        assert code == 0
+        assert out.splitlines()[0] == "1 10"
 
 
 def test_stats_lines_are_comments(example1_file):
@@ -170,7 +167,9 @@ def test_out_of_range_flags_exit_1(example1_file):
 
 def test_usage_errors_go_to_given_err(capsys):
     for argv in ([], ["count", "x.cnf", "--mode", "bogus"],
-                 ["count", "x.cnf", "--mode", "shared-sym"]):
+                 ["count", "x.cnf", "--mode", "shared-sym"],
+                 ["count", "x.cnf", "--heuristic", "vsads"],
+                 ["count", "x.cnf", "--heuristic", "dlcs"]):
         code, out, err = invoke(argv)
         assert code == 1, argv
         lines = err.splitlines()
@@ -201,6 +200,15 @@ def test_malformed_dimacs_exit_2(tmp_path):
     path.write_text("p cnf 2 1\n1 5 0\n")
     code, _, err = invoke(["count", str(path)])
     assert code == 2
+
+
+def test_softcore_without_clauses_exit_2(tmp_path):
+    path = tmp_path / "empty.cnf"
+    path.write_text("p cnf 3 0\n")
+    code, out, err = invoke(["softcore", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_malformed_af_exit_2(tmp_path):

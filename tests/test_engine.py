@@ -32,6 +32,12 @@ def test_td_mode_only_off_accepted():
         EngineConfig(td_mode="shared")
 
 
+def test_heuristic_only_dlcs_accepted():
+    assert EngineConfig(heuristic="dlcs").heuristic == "dlcs"
+    with pytest.raises(ValueError):
+        EngineConfig(heuristic="dlis")
+
+
 def test_unsat_pair():
     st = FormulaState({1}, {normalize_clause([1]), normalize_clause([-1])})
     for config in ALL_CONFIGS:
@@ -55,23 +61,21 @@ def test_tautological_clauses_skipped():
 
 def test_unit_propagate_chains():
     clauses = {normalize_clause([1]), normalize_clause([-1, 2])}
-    residual, assignment, conflict = unit_propagate(masks(clauses), 0)
-    assert conflict is None
+    residual, assignment = unit_propagate(masks(clauses), 0)
     assert clauses_of(residual) == set()
     assert assignment == clause_mask((1, 2))  # the literals made true
 
 
-def test_unit_propagate_conflict_names_original_clause():
+def test_unit_propagate_conflict_returns_no_residual():
     clauses = {normalize_clause([1]), normalize_clause([-1])}
-    residual, _, conflict = unit_propagate(masks(clauses), 0)
+    residual, assignment = unit_propagate(masks(clauses), 0)
     assert residual is None
-    assert conflict in masks(clauses)
+    assert assignment == 0  # the incoming assignment, unchanged
 
 
 def test_unit_propagate_no_units_unchanged():
     phi = condition(example1_state().clauses, {3: True})
-    residual, assignment, conflict = unit_propagate(masks(phi), 0)
-    assert conflict is None
+    residual, assignment = unit_propagate(masks(phi), 0)
     assert clauses_of(residual) == phi
     assert assignment == 0
 
@@ -186,21 +190,16 @@ def test_positive_plus_negative_equals_lookups(monkeypatch):
 
 
 # Cumulative session counters after the first count and 12 clause removals
-# (13 counts) on random_3cnf(Random(5), 16, 67), per (mode, heuristic):
+# (13 counts) on random_3cnf(Random(5), 16, 67), per cache mode:
 # (decisions, propagations, conflicts, positiveHits, cacheEntries,
-# cacheBytes). The DLCS rows were taken from the engine before propagation,
-# the component split and key building were rewritten for speed, which
-# must change none of them. The VSADS rows depend on which clause gets the
-# credit for a conflict, which depends on clause order inside a component;
-# they were re-taken when components became frozensets and again when the
-# search moved to clause masks. negativeHits is left out: the root key is
-# now built once.
+# cacheBytes). They were taken from the engine before propagation, the
+# component split and key building were rewritten for speed, which must
+# change none of them. negativeHits is left out: the root key is now
+# built once.
 PINNED_COUNTS = [16, 22, 22, 26, 64, 70, 70, 72, 72, 84, 109, 109, 110]
 PINNED_COUNTERS = {
-    ("no_shared", "dlcs"): (277, 1140, 126, 2, 28, 18296),
-    ("no_shared", "vsads"): (321, 1153, 104, 26, 37, 21600),
-    ("shared", "dlcs"): (124, 580, 63, 30, 124, 147344),
-    ("shared", "vsads"): (231, 913, 85, 46, 231, 204560),
+    "no_shared": (277, 1140, 126, 2, 28, 18296),
+    "shared": (124, 580, 63, 30, 124, 147344),
 }
 
 
@@ -219,7 +218,7 @@ def test_counters_pinned():
         counters = (stats.decisions, stats.propagations, stats.conflicts,
                     stats.positive_hits, len(session.cache.entries),
                     session.cache.bytes_used)
-        name = (config.cache_mode, config.heuristic)
+        name = config.cache_mode
         assert counts == PINNED_COUNTS, name
         assert counters == PINNED_COUNTERS[name], name
 

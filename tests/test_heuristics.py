@@ -1,8 +1,8 @@
 import random
 
 from dyncount import (compute_tree_decomposition, condition, dlcs_score,
-                      normalize_clause, primal_graph, record_conflict,
-                      select_branch_variable, td_valid_for, vsads_score)
+                      normalize_clause, primal_graph, select_branch_variable,
+                      td_valid_for)
 from dyncount.formula import PrimalGraph
 
 from helpers import example1_state, masks, random_cnf
@@ -17,39 +17,6 @@ def test_dlcs_scores():
     assert dlcs_score(phi, 1) == 3
     assert dlcs_score(phi, 5) == 1
     assert dlcs_score({normalize_clause([1, 2])}, 1) == 1
-
-
-def test_vsads_arithmetic():
-    phi = {normalize_clause([1, 2]), normalize_clause([1, 3]),
-           normalize_clause([1, -4])}
-    assert vsads_score(phi, 1, {}) == 3
-    assert vsads_score(phi, 1, {1: 4}) == 15
-
-
-def test_vsads_matches_dlcs_without_conflicts():
-    rng = random.Random(17)
-    for _ in range(25):
-        st = random_cnf(rng, rng.randint(2, 10), rng.randint(1, 15))
-        clauses = {c for c in st.clauses if c}
-        if not clauses:
-            continue
-        assert (select_branch_variable(masks(clauses), "dlcs")
-                == select_branch_variable(masks(clauses), "vsads", {}))
-
-
-def test_record_conflict_counts_clause_variables():
-    conflicts = {}
-    record_conflict(conflicts, normalize_clause([-1, 2]))
-    assert conflicts == {1: 1, 2: 1}
-    record_conflict(conflicts, normalize_clause([-1, 2]))
-    assert conflicts == {1: 2, 2: 2}
-
-
-def test_conflict_raises_vsads_score():
-    phi = phi_x3()
-    before = vsads_score(phi, 1, {})
-    conflicts = record_conflict({}, normalize_clause([-1]))
-    assert vsads_score(phi, 1, conflicts) > before
 
 
 def test_td_empty_graph():
@@ -134,30 +101,15 @@ def test_td_invalid_for_new_edge_and_vertex():
 
 def test_select_dlcs_plain():
     clauses = {normalize_clause([1, 2, 3]), normalize_clause([-1, 4])}
-    assert select_branch_variable(masks(clauses), "dlcs") == 1
+    assert select_branch_variable(masks(clauses)) == 1
 
 
 def test_select_example1_tie_breaks_low():
-    assert select_branch_variable(masks(example1_state().clauses), "dlcs") == 1
-
-
-def test_select_scale_invariance_via_conflicts():
-    # multiplying all base scores by a constant keeps the argmax
-    rng = random.Random(31)
-    for _ in range(20):
-        st = random_cnf(rng, rng.randint(2, 8), rng.randint(1, 12))
-        clauses = {c for c in st.clauses if c}
-        if not clauses:
-            continue
-        scale = {v: 6 for c in clauses for l in c for v in (abs(l),)}
-        plain = select_branch_variable(masks(clauses), "vsads", {})
-        scaled = select_branch_variable(masks(clauses), "vsads",
-                                        {v: 5 for v in scale})
-        assert plain == scaled
+    assert select_branch_variable(masks(example1_state().clauses)) == 1
 
 
 def test_select_matches_scalar_scores_random():
-    # the bit-sliced counters against the per-variable definitions; dense
+    # the bit-sliced counters against the per-variable definition; dense
     # formulas push counts past 8, into the slices kept in a list
     rng = random.Random(37)
     for _ in range(60):
@@ -165,8 +117,4 @@ def test_select_matches_scalar_scores_random():
         clauses = {c for c in st.clauses if c}
         variables = sorted({abs(l) for c in clauses for l in c})
         dlcs = min(variables, key=lambda v: (-dlcs_score(clauses, v), v))
-        assert select_branch_variable(masks(clauses), "dlcs") == dlcs
-        conflicts = {v: rng.randint(0, 3) for v in variables}
-        vsads = min(variables,
-                    key=lambda v: (-vsads_score(clauses, v, conflicts), v))
-        assert select_branch_variable(masks(clauses), "vsads", conflicts) == vsads
+        assert select_branch_variable(masks(clauses)) == dlcs
