@@ -4,6 +4,7 @@ seeded perturbations and a brute-force extension oracle."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -85,11 +86,6 @@ def attacked_var(b):
     return 2 * b
 
 
-def _clause(lits):
-    """Clause tuple in `lit_key` order, for literals over distinct variables."""
-    return tuple(sorted(lits, key=abs))
-
-
 def encode_complete(af):
     """CNF whose model count equals the number of complete extensions.
 
@@ -97,34 +93,45 @@ def encode_complete(af):
     that is itself attacked; auxiliaries are functionally determined so
     they do not inflate the count. Surviving arguments keep their
     variables across perturbation steps.
+
+    Clauses are built directly in `lit_key` order. Argument a has
+    x_a = 2a - 1 and auxiliary d_b = 2b, so x_a precedes x_b exactly when
+    a < b, x_a precedes d_b exactly when a <= b, and a long clause splits
+    its sorted argument list at one `bisect`.
     """
     attackers = af.attackers_of()
-    is_attacker = {b for b, _ in af.attacks}
     # d_b is referenced only for attackers b; if b is unattacked the
     # defense condition on b is plainly false and d_b is not created
-    has_aux = {b for b in is_attacker if attackers[b]}
+    has_aux = {b for b, _ in af.attacks if attackers[b]}
 
     clauses = set()
-    for b, a in sorted(af.attacks):
-        # a self-attack repeats the literal, which the set collapses
-        clauses.add(_clause({-accepted_var(a), -accepted_var(b)}))
-        if b in has_aux:
-            clauses.add(_clause([-accepted_var(a), attacked_var(b)]))
+    add = clauses.add
+    for b, a in af.attacks:
+        xa, xb = 2 * a - 1, 2 * b - 1
+        if a == b:
+            add((-xa,))
         else:
-            clauses.add((-accepted_var(a),))
-    for b in sorted(has_aux):
+            add((-xa, -xb) if a < b else (-xb, -xa))
+        if b in has_aux:
+            add((-xa, 2 * b) if a <= b else (2 * b, -xa))
+        else:
+            add((-xa,))
+    for b in has_aux:
         members = sorted(attackers[b])
-        clauses.add(_clause(
-            [-attacked_var(b)] + [accepted_var(c) for c in members]))
-        for c in members:
-            clauses.add(_clause([attacked_var(b), -accepted_var(c)]))
-    for a in sorted(af.arguments):
-        atk = sorted(attackers[a])
+        xs = [2 * c - 1 for c in members]
+        split = bisect_right(members, b)
+        add((*xs[:split], -2 * b, *xs[split:]))
+        for c, xc in zip(members, xs):
+            add((-xc, 2 * b) if c <= b else (2 * b, -xc))
+    for a in af.arguments:
+        atk = attackers[a]
         if not atk:
-            clauses.add((accepted_var(a),))
-        elif all(b in has_aux for b in atk):
-            clauses.add(_clause(
-                [accepted_var(a)] + [-attacked_var(b) for b in atk]))
+            add((2 * a - 1,))
+        elif atk <= has_aux:
+            atk = sorted(atk)
+            ds = [-2 * b for b in atk]
+            split = bisect_left(atk, a)
+            add((*ds[:split], 2 * a - 1, *ds[split:]))
         # else: some attacker of a can never be counter-attacked, the
         # completeness clause is vacuously true and is omitted
 
@@ -225,7 +232,8 @@ def perturb(af, config, rng):
         for pair in rng.sample(sorted(attacks), min(k, len(attacks))):
             attacks.remove(pair)
     else:  # add_attacks
-        absent = sorted((b, a) for b in args for a in args if (b, a) not in attacks)
+        order = sorted(args)
+        absent = [(b, a) for b in order for a in order if (b, a) not in attacks]
         k = rng.randint(1, 3)
         attacks.update(rng.sample(absent, min(k, len(absent))))
     return ArgumentationFramework(frozenset(args), frozenset(attacks)), tag

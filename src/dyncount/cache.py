@@ -23,7 +23,7 @@ def make_key(clauses):
 def key_bytes(key):
     # documented size model: per-entry overhead + per-clause + per-literal;
     # a clause mask has one bit per literal
-    return 32 + 16 * len(key) + 8 * sum(c.bit_count() for c in key)
+    return 32 + 16 * len(key) + 8 * sum(map(int.bit_count, key))
 
 
 @dataclass
@@ -51,6 +51,9 @@ class ComponentCache:
         self.epoch = 0  # advanced once per count
         self._seq = 0
         self.evictions = 0  # cumulative; clear() keeps it
+        # clause tuple -> clause mask for the clauses of the last count
+        # (see engine.count); clear() keeps it and bytes_used leaves it out
+        self.clause_masks = {}
 
     def clear(self):
         self.entries.clear()

@@ -1,8 +1,9 @@
 """Command-line surface for scripts and harnesses.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 resource limit.
+Exit codes: 0 success, 1 usage error, 2 input parse error, 3 resource limit
+(time budget or memory).
 Result lines go to stdout; every other stdout line is prefixed "c ".
-Diagnostics go to stderr.
+Diagnostics (`error:` and `warning:` lines) go to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 
 from .argumentation import (AfParseError, PerturbationConfig, dynamic_sequence,
                             encode_complete, read_af)
@@ -19,7 +21,8 @@ from .dimacs import DimacsError, parse_dimacs, state_from_dimacs
 from .engine import EngineConfig, ResourceLimitError
 from .formula import FormulaState, primal_graph
 from .heuristics import compute_tree_decomposition
-from .session import PreconditionError, ScriptError, Session, run_script
+from .session import (DuplicateClauseWarning, PreconditionError, ScriptError,
+                      Session, run_script)
 from .softcore import SoftCoreConfig, compute_soft_core
 
 _MODE_NAMES = {"noshared": "no_shared", "shared": "shared"}
@@ -192,6 +195,26 @@ def _any_int_length():
         sys.set_int_max_str_digits(limit)
 
 
+@contextlib.contextmanager
+def _duplicate_warnings_to(err):
+    """Write each DuplicateClauseWarning raised inside as a `warning:` line on `err`.
+
+    Other warnings are shown as before.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DuplicateClauseWarning)
+        show = warnings.showwarning
+
+        def show_on_err(message, category, *args, **kwargs):
+            if issubclass(category, DuplicateClauseWarning):
+                err.write("warning: %s\n" % message)
+            else:
+                show(message, category, *args, **kwargs)
+
+        warnings.showwarning = show_on_err
+        yield
+
+
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
@@ -205,7 +228,7 @@ def run(argv, out=None, err=None):
         out.write(str(exc))
         return 0
     try:
-        with _any_int_length():
+        with _any_int_length(), _duplicate_warnings_to(err):
             _COMMANDS[args.command](args, out)
     except (DimacsError, AfParseError, ScriptError, PreconditionError,
             UnicodeDecodeError) as exc:
@@ -213,6 +236,9 @@ def run(argv, out=None, err=None):
         return 2
     except ResourceLimitError as exc:
         err.write("error: %s\n" % exc)
+        return 3
+    except MemoryError as exc:
+        err.write("error: %s\n" % (str(exc) or "out of memory"))
         return 3
     except OSError as exc:
         err.write("error: %s\n" % exc)

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .cache import make_key
+# vars_of is no longer called here; the benchmark's tracer wraps it by
+# this module's name, so the name stays
 from .formula import (clause_mask, decompose_components, even_bits, negate,
                       vars_of)
 from .heuristics import select_branch_variable
@@ -13,6 +17,8 @@ from .heuristics import select_branch_variable
 NO_SHARED = "no_shared"
 SHARED = "shared"
 CACHE_MODES = (NO_SHARED, SHARED)
+
+TAUTOLOGY = -1  # the mask `ComponentCache.clause_masks` keeps for a tautology
 
 
 class ResourceLimitError(RuntimeError):
@@ -172,6 +178,20 @@ class _Search:
         return total
 
 
+def _sync_clause_masks(masks, clauses):
+    """Make the clause -> mask dict `masks` cover exactly `clauses`.
+
+    Only clauses added since the last sync are encoded; removed ones are
+    dropped.
+    """
+    for c in masks.keys() - clauses:
+        del masks[c]
+    for c in clauses.difference(masks):
+        m = clause_mask(c)
+        # a tautology has both bits of some variable set
+        masks[c] = TAUTOLOGY if m & m >> 1 & even_bits(m.bit_length()) else m
+
+
 def count(state, config, cache):
     """Exact model count of the state over its active variables.
 
@@ -179,32 +199,32 @@ def count(state, config, cache):
     reused and extended. Each count advances the cache's epoch, the unit
     in which entry age is measured. Deterministic for fixed inputs and
     cache content.
-    Each clause is encoded once per count as an int mask (`clause_mask`),
-    and propagation, the component split, branching and cache keys all
-    work on those masks; their cost grows with the highest variable index.
+    Each clause is encoded as an int mask (`clause_mask`) once, when a
+    count first sees it: `cache.clause_masks` keeps the masks between
+    counts, and each count syncs it with `state.clauses` by set
+    difference, so however the clauses changed, only the added ones are
+    encoded. Propagation, the component split, branching and cache keys
+    all work on those masks; their cost grows with the highest variable
+    index.
     The search runs on an explicit stack of `_Search.solve` generators, so
     its depth is bounded by memory, not by the interpreter's recursion limit.
     """
     if config.cache_mode == NO_SHARED:
         cache.clear()
     cache.epoch += 1
-    encoded = {clause_mask(c): c for c in state.clauses}
-    if 0 in encoded:
+    _sync_clause_masks(cache.clause_masks, state.clauses)
+    root = frozenset(cache.clause_masks.values())
+    if TAUTOLOGY in root:
+        root -= {TAUTOLOGY}
+    if 0 in root:
         return CountResult(0, SearchStats())
-    if encoded:
-        # a tautology has both bits of some variable set
-        even = even_bits(max(encoded).bit_length())
-        for m in [m for m in encoded if m & m >> 1 & even]:
-            del encoded[m]
-    occurring = vars_of(encoded.values())
-    free_global = len(state.active_vars) - len(occurring)
+    variables = reduce(or_, root, 0)
+    variables |= negate(variables)
+    free_global = len(state.active_vars) - (variables.bit_count() >> 1)
     search = _Search(config, cache)
-    if not encoded:
+    if not root:
         return CountResult(1 << free_global, search.stats)
-    variables = 0
-    for v in occurring:
-        variables |= 3 << 2 * v
-    stack = [search.solve(frozenset(encoded), variables, root=True)]
+    stack = [search.solve(root, variables, root=True)]
     sent = None
     while stack:
         try:

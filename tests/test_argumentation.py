@@ -101,6 +101,70 @@ def test_encoding_clauses_are_normalized():
         assert encode_complete(af).clauses == _encode_complete_normalized(af)
 
 
+def _encode_complete_sorted(af):
+    """Reference encoding: each clause sorted by variable, as a tuple."""
+    def clause(lits):
+        return tuple(sorted(lits, key=abs))
+
+    attackers = af.attackers_of()
+    has_aux = {b for b, _ in af.attacks if attackers[b]}
+    clauses = set()
+    for b, a in sorted(af.attacks):
+        clauses.add(clause({-accepted_var(a), -accepted_var(b)}))
+        if b in has_aux:
+            clauses.add(clause([-accepted_var(a), attacked_var(b)]))
+        else:
+            clauses.add((-accepted_var(a),))
+    for b in sorted(has_aux):
+        members = sorted(attackers[b])
+        clauses.add(clause([-attacked_var(b)] + [accepted_var(c) for c in members]))
+        for c in members:
+            clauses.add(clause([attacked_var(b), -accepted_var(c)]))
+    for a in sorted(af.arguments):
+        atk = sorted(attackers[a])
+        if not atk:
+            clauses.add((accepted_var(a),))
+        elif all(b in has_aux for b in atk):
+            clauses.add(clause([accepted_var(a)] + [-attacked_var(b) for b in atk]))
+    variables = {accepted_var(a) for a in af.arguments}
+    variables |= {attacked_var(b) for b in has_aux}
+    return variables, clauses
+
+
+def test_encoding_matches_sorted_reference():
+    # attack densities from none to every ordered pair, self-attacks included
+    rng = random.Random(71)
+    afs = [af_of(0, []), af_of(1, [(1, 1)])]
+    for _ in range(2000):
+        n = rng.randint(0, 14)
+        p = rng.choice([0.0, 0.05, 0.2, 0.5, 0.9, 1.0])
+        afs.append(af_of(n, [(b, a) for b in range(1, n + 1)
+                             for a in range(1, n + 1) if rng.random() < p]))
+    assert sum(1 for af in afs if len(af.attacks) == len(af.arguments) ** 2 > 1) > 10
+    for af in afs:
+        state = encode_complete(af)
+        assert (state.active_vars, state.clauses) == _encode_complete_sorted(af)
+
+
+def test_dynamic_sequence_draws_pinned():
+    # tags, counts and last AF of a seeded run, as drawn before `perturb`
+    # built its list of absent attacks without a sort
+    af = af_of(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 5), (6, 4)])
+    records = dynamic_sequence(af, PerturbationConfig(steps=50, seed=2026),
+                               Session())
+    letters = {"delete_argument": "D", "add_argument": "A",
+               "delete_attacks": "d", "add_attacks": "a"}
+    assert "".join(letters[r.tag] for r in records) == (
+        "AadAadAdddadadaaaAdadaaAddaddaAAadAdddAadadaDdaddd")
+    assert [r.count for r in records] == (
+        [1] * 16 + [2, 3, 3, 2, 2] + [1] * 22 + [3] * 6 + [1])
+    last = records[-1].af
+    assert last.arguments == frozenset(range(1, 16)) - {8}
+    assert last.attacks == frozenset(
+        [(1, 2), (1, 7), (3, 1), (5, 3), (5, 6), (6, 9), (7, 11), (9, 9),
+         (10, 1), (10, 6), (11, 7), (13, 7), (14, 9), (15, 3), (15, 11)])
+
+
 def test_auxiliaries_do_not_inflate_count():
     # projecting the models onto the argument variables stays injective
     rng = random.Random(61)

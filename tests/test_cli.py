@@ -218,6 +218,29 @@ def test_malformed_af_exit_2(tmp_path):
     assert code == 2
 
 
+def test_duplicate_clause_warning_goes_to_given_err(tmp_path, capsys, recwarn):
+    script = tmp_path / "dup.txt"
+    script.write_text("av 1\nac 1 0\nac 1 0\nac 1 0\ncount\n")
+    code, out, err = invoke(["session", str(script)])
+    assert code == 0
+    assert out == "1 1\n"
+    assert err.splitlines() == ["warning: clause (1,) already present"] * 2
+    assert capsys.readouterr() == ("", "")
+    assert len(recwarn) == 0
+
+
+def test_memory_error_exit_3(tmp_path):
+    # the clause mask of a variable this large needs 1 << 2*10**19, which
+    # Python refuses at once, before allocating anything
+    script = tmp_path / "huge.txt"
+    script.write_text("av 10000000000000000000\n"
+                      "ac 10000000000000000000 0\ncount\n")
+    code, out, err = invoke(["session", str(script)])
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_non_utf8_file_exit_2_for_every_command(tmp_path):
     path = tmp_path / "garbage.bin"
     path.write_bytes(b"\xff\xfe\x00garbage")

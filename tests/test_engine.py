@@ -5,9 +5,10 @@ import sys
 import pytest
 
 from dyncount import engine
-from dyncount import (ComponentCache, EngineConfig, FormulaState,
-                      ResourceLimitError, Session, UpdateOp, brute_force_count,
-                      condition, count, normalize_clause, unit_propagate)
+from dyncount import (BatchError, ComponentCache, EngineConfig, FormulaState,
+                      ResourceLimitError, Session, UpdateOp,
+                      brute_force_count, condition, count, is_tautology,
+                      normalize_clause, unit_propagate)
 from dyncount.cache import make_key
 from dyncount.engine import SearchStats
 from dyncount.formula import clause_mask, count_truth_table, vars_of
@@ -187,6 +188,89 @@ def test_positive_plus_negative_equals_lookups(monkeypatch):
             assert stats.positive_hits + stats.negative_hits == len(built)
             assert set(cache.entries) == set(built)
             assert stats.negative_hits == len(cache.entries)
+
+
+def _random_clause(rng, variables):
+    # literals drawn with repetition, so tautologies such as (1, -1) occur
+    k = rng.randint(1, 3)
+    return normalize_clause([rng.choice([v, -v]) for v in rng.choices(variables, k=k)])
+
+
+def test_clause_masks_follow_every_kind_of_change():
+    # the clause masks kept between counts must cover exactly the state's
+    # clauses after each count, however the clauses changed in between
+    rng = random.Random(113)
+    seen = set()
+    for _ in range(60):
+        session = Session(EngineConfig(cache_mode=rng.choice(["no_shared", "shared"])))
+        variables = list(range(1, rng.randint(2, 8)))
+        session.apply_batch([UpdateOp.add_var(v) for v in variables])
+        for _ in range(rng.randint(5, 30)):
+            state = session.state
+            roll = rng.random()
+            if roll < 0.35:
+                clause = _random_clause(rng, variables)
+                if clause not in state.clauses:
+                    session.apply_op(UpdateOp("add_clause", clause=clause))
+                    seen.add("taut" if is_tautology(clause) else "add")
+            elif roll < 0.55 and state.clauses:
+                clause = rng.choice(sorted(state.clauses))
+                session.apply_op(UpdateOp("rem_clause", clause=clause))
+                seen.add("rem")
+            elif roll < 0.65:
+                added = {_random_clause(rng, variables) for _ in range(2)}
+                ops = [UpdateOp("add_clause", clause=c)
+                       for c in sorted(added - state.clauses)]
+                if state.clauses:
+                    ops.append(UpdateOp("rem_clause", clause=min(state.clauses)))
+                ops.append(UpdateOp.rem_var(len(variables) + 1))  # never active
+                with pytest.raises(BatchError):
+                    session.apply_batch(ops)
+                seen.add("rollback")
+            elif roll < 0.75:
+                fresh = random_cnf(rng, len(variables), rng.randint(0, 8))
+                fresh.clauses.add(_random_clause(rng, variables))
+                session.replace_state(fresh)
+                seen.add("replace")
+            elif roll < 0.82:
+                session.apply_op(UpdateOp.reset())
+                session.apply_batch([UpdateOp.add_var(v) for v in variables])
+                seen.add("reset")
+            elif roll < 0.88:
+                state.clauses.symmetric_difference_update({()})
+                seen.add("empty")
+            else:
+                state.clauses.symmetric_difference_update(
+                    {_random_clause(rng, variables)})
+                seen.add("direct")
+            if rng.random() < 0.5:
+                value = session.checkpoint_count()
+                kept = session.cache.clause_masks
+                assert kept.keys() == session.state.clauses
+                assert all((m == engine.TAUTOLOGY) == is_tautology(c)
+                           for c, m in kept.items())
+                assert value == brute_force_count(session.state)
+    assert seen == {"add", "taut", "rem", "rollback", "replace", "reset",
+                    "empty", "direct"}
+
+
+def test_warm_clause_masks_change_no_counter():
+    # a no_shared count searches the same way whether or not the clause
+    # masks of an earlier, overlapping state are still kept
+    rng = random.Random(127)
+    config = EngineConfig(cache_mode="no_shared")
+    for _ in range(30):
+        first = random_3cnf(rng, 12, 40)
+        second = FormulaState(set(first.active_vars),
+                              set(rng.sample(sorted(first.clauses), 30)))
+        second.clauses |= random_3cnf(rng, 12, 10).clauses
+        warm = ComponentCache(config.cache_byte_budget)
+        count(first, config, warm)
+        assert len(warm.clause_masks) == 40
+        a = count(second, config, warm)
+        b = count(second, config, ComponentCache(config.cache_byte_budget))
+        assert warm.clause_masks.keys() == second.clauses
+        assert (a.count, a.stats) == (b.count, b.stats)
 
 
 # Cumulative session counters after the first count and 12 clause removals
