@@ -17,7 +17,7 @@ import warnings
 
 from .argumentation import (AfParseError, PerturbationConfig, dynamic_sequence,
                             encode_complete, read_af)
-from .dimacs import DimacsError, parse_dimacs, state_from_dimacs
+from .dimacs import DimacsError, parse_dimacs, read_dimacs, state_from_dimacs
 from .engine import EngineConfig, ResourceLimitError
 from .formula import FormulaState, primal_graph
 from .heuristics import compute_tree_decomposition
@@ -160,9 +160,8 @@ def _cmd_af_dynamic(args, out):
 
 
 def _cmd_td(args, out):
-    with open(args.file) as fh:
-        state = state_from_dimacs(fh.read())
-    td = compute_tree_decomposition(primal_graph(state.clauses))
+    _, clauses = read_dimacs(args.file)
+    td = compute_tree_decomposition(primal_graph(clauses))
     out.write("width %d\n" % td.width)
     out.write("bags %d\n" % len(td.bags))
 

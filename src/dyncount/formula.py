@@ -193,13 +193,6 @@ class PrimalGraph:
     vertices: frozenset
     edges: frozenset  # of (u, v) pairs with u < v
 
-    def adjacency(self):
-        adj = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def primal_graph(clauses):
     """Graph on variables with an edge per co-occurring pair; isolated vars excluded."""

@@ -1,4 +1,13 @@
-"""The DLCS branching rule and a min-fill tree decomposition."""
+"""The DLCS branching rule and a min-fill tree decomposition.
+
+Min-fill keeps each remaining vertex's fill up to date rather than
+rescoring every vertex at every elimination. Eliminating v rescores only
+v's neighbours, whose neighbourhoods changed, and lowers by one the fill
+of each other vertex adjacent to both ends of a fill edge it adds. On n
+vertices of elimination degree at most d that is O(n*d^2) bitset ANDs,
+plus one decrement per fill edge and common neighbour, against the
+O(n^2*d^2) set probes of rescoring all vertices at each step.
+"""
 
 from __future__ import annotations
 
@@ -23,58 +32,91 @@ class TreeDecomposition:
     width: int
 
 
-def _adjacency_lists(graph):
-    return {v: set(ns) for v, ns in graph.adjacency().items()}
-
-
 def compute_tree_decomposition(graph):
-    """Greedy min-fill elimination ordering.
+    """Greedy min-fill elimination ordering, with fills kept up to date.
 
-    Tie-breaks everywhere are by smallest variable / bag index so the
-    result is deterministic.
+    Each step eliminates the vertex of least (fill, vertex): the fill of
+    v is the number of pairs of its neighbours not yet adjacent, and
+    eliminating v joins all such pairs. Its bag is v plus its neighbours,
+    and it hangs below the bag of the first of them to be eliminated, or
+    else below the next bag, so a disconnected graph still yields one tree.
+
+    Neighbourhoods are int bitsets over the positions of the sorted
+    vertices, so position order is vertex order. Fills are computed once,
+    at the start. Eliminating v then changes only (a) the neighbourhood,
+    and so the fill, of each neighbour of v, which is recomputed; and
+    (b) the fill of every other vertex adjacent to both ends of a fill
+    edge, which that edge lowers by one. A step costs O(d^2) bitset ANDs
+    for degree d, plus one decrement per fill edge and common neighbour;
+    the decomposition equals that of rescoring every vertex at every step.
     """
-    adj = _adjacency_lists(graph)
-    n = len(adj)
+    order = sorted(graph.vertices)
+    n = len(order)
     if n == 0:
         return TreeDecomposition([frozenset()], [], 0)
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [0] * n
+    for u, v in graph.edges:
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
 
-    remaining = {v: set(ns) for v, ns in adj.items()}
+    # insertion order is position order, so min() breaks ties to the smallest
+    fills = {i: _fill(adj, i) for i in range(n)}
+    step_of = [0] * n
+    elim_order = []
+    neighbours = []
+    while fills:
+        v = min(fills, key=fills.__getitem__)
+        del fills[v]
+        ns = adj[v]
+        step_of[v] = len(elim_order)
+        elim_order.append(v)
+        neighbours.append(ns)
+        # neighbours of v are rescored below; lower only the vertices outside
+        outside = ~(ns | 1 << v)
+        for a in _members(ns):
+            adj_a = adj[a]
+            common_a = adj_a & outside
+            # fill edges (a, b) with b > a
+            for b in _members(ns & ~adj_a & -2 << a):
+                for w in _members(common_a & adj[b]):
+                    fills[w] -= 1
+        for a in _members(ns):
+            adj[a] = (adj[a] | ns) & ~(1 << a | 1 << v)
+        for a in _members(ns):
+            fills[a] = _fill(adj, a)
+
     bags = []
-    elim_vertex = []
-    elim_index = {}
-    for step in range(n):
-        best = None
-        best_fill = None
-        for v in sorted(remaining):
-            ns = sorted(remaining[v])
-            fill = 0
-            for i, a in enumerate(ns):
-                for b in ns[i + 1:]:
-                    if b not in remaining[a]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        ns = remaining.pop(best)
-        bags.append(frozenset({best} | ns))
-        elim_vertex.append(best)
-        elim_index[best] = step
-        for a in ns:
-            remaining[a].discard(best)
-            remaining[a] |= ns - {a}
+    edges = []
+    for step, (v, ns) in enumerate(zip(elim_order, neighbours)):
+        bags.append(frozenset(order[i] for i in _members(ns | 1 << v)))
+        if ns:
+            edges.append((step, min(step_of[u] for u in _members(ns))))
+        elif step + 1 < n:
+            edges.append((step, step + 1))
+    width = max(ns.bit_count() for ns in neighbours)
+    return TreeDecomposition(bags, edges, width)
 
-    # child bag attaches to the bag of its earliest-eliminated other vertex;
-    # parentless bags chain forward so disconnected graphs still yield one tree
-    parent = [None] * n
-    for i, bag in enumerate(bags):
-        rest = bag - {elim_vertex[i]}
-        if rest:
-            parent[i] = min(elim_index[u] for u in rest)
-        elif i + 1 < n:
-            parent[i] = i + 1
 
-    edges = [(i, p) for i, p in enumerate(parent) if p is not None]
-    width = max((len(b) for b in bags), default=1) - 1
-    return TreeDecomposition(bags, edges, max(width, 0))
+def _members(bits):
+    """The positions of the set bits of `bits`, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _fill(adj, v):
+    """Pairs of v's neighbours that are not adjacent to each other."""
+    ns = adj[v]
+    d = ns.bit_count()
+    links = 0               # twice the edges among the neighbours
+    bits = ns               # walked inline, not by _members: the hot loop
+    while bits:
+        low = bits & -bits
+        links += (adj[low.bit_length() - 1] & ns).bit_count()
+        bits ^= low
+    return d * (d - 1) // 2 - links // 2
 
 
 def td_valid_for(td, graph):

@@ -5,6 +5,7 @@ import random
 from dyncount import (ArgumentationFramework, EngineConfig, FormulaState,
                       Session, normalize_clause)
 from dyncount.formula import clause_mask, mask_clause
+from dyncount.heuristics import TreeDecomposition
 
 ALL_CONFIGS = [EngineConfig(cache_mode=mode) for mode in ("no_shared", "shared")]
 
@@ -70,3 +71,56 @@ def clauses_of(clause_masks):
 def var_set(variables):
     """The variables of a variable mask (both literal bits per variable)."""
     return {abs(l) for l in mask_clause(variables)}
+
+
+def reference_tree_decomposition(graph):
+    """Greedy min-fill that rescores every remaining vertex at every step.
+
+    The rule compute_tree_decomposition keeps up to date incrementally:
+    eliminate the vertex of least (fill, vertex); its bag is the vertex
+    plus its neighbours and hangs below the bag of the neighbour
+    eliminated first, or else below the next bag.
+    """
+    adj = {v: set() for v in graph.vertices}
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    n = len(adj)
+    if n == 0:
+        return TreeDecomposition([frozenset()], [], 0)
+
+    remaining = {v: set(ns) for v, ns in adj.items()}
+    bags = []
+    elim_vertex = []
+    elim_index = {}
+    for step in range(n):
+        best = None
+        best_fill = None
+        for v in sorted(remaining):
+            ns = sorted(remaining[v])
+            fill = 0
+            for i, a in enumerate(ns):
+                for b in ns[i + 1:]:
+                    if b not in remaining[a]:
+                        fill += 1
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        ns = remaining.pop(best)
+        bags.append(frozenset({best} | ns))
+        elim_vertex.append(best)
+        elim_index[best] = step
+        for a in ns:
+            remaining[a].discard(best)
+            remaining[a] |= ns - {a}
+
+    parent = [None] * n
+    for i, bag in enumerate(bags):
+        rest = bag - {elim_vertex[i]}
+        if rest:
+            parent[i] = min(elim_index[u] for u in rest)
+        elif i + 1 < n:
+            parent[i] = i + 1
+
+    edges = [(i, p) for i, p in enumerate(parent) if p is not None]
+    width = max((len(b) for b in bags), default=1) - 1
+    return TreeDecomposition(bags, edges, max(width, 0))

@@ -1,9 +1,11 @@
 import decimal
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from dyncount import PerturbationConfig, Session, dynamic_sequence, parse_af
 from dyncount.cli import run
 from dyncount.dimacs import write_dimacs
 
-from helpers import example1_state
+from helpers import example1_state, random_3cnf
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,6 +148,26 @@ def test_td_command(example1_file):
     assert lines[0].startswith("width ")
     assert lines[1].startswith("bags ")
     assert int(lines[0].split()[1]) >= 1
+
+
+def test_td_output_pinned(tmp_path):
+    path = tmp_path / "random.cnf"
+    path.write_text(write_dimacs(random_3cnf(random.Random(10), 60, 120)))
+    assert invoke(["td", str(path)]) == (0, "width 30\nbags 60\n", "")
+
+
+def test_td_memory_follows_the_clauses_not_the_header(tmp_path):
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 200000 1\n1 2 0\n")
+    tracemalloc.start()
+    try:
+        code, out, _ = invoke(["td", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.splitlines() == ["width 1", "bags 2"]
+    assert peak < 1 << 20
 
 
 def test_usage_errors_exit_1():

@@ -5,7 +5,8 @@ from dyncount import (compute_tree_decomposition, condition, dlcs_score,
                       td_valid_for)
 from dyncount.formula import PrimalGraph
 
-from helpers import example1_state, masks, random_cnf
+from helpers import (example1_state, masks, random_cnf,
+                     reference_tree_decomposition)
 
 
 def phi_x3():
@@ -41,10 +42,10 @@ def test_td_path_width_one():
     assert td_valid_for(td, g)
 
 
-def _random_graph(rng, n, p):
-    edges = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-             if rng.random() < p}
-    return PrimalGraph(frozenset(range(1, n + 1)), frozenset(edges))
+def _random_graph(rng, labels, p):
+    edges = {(u, v) for u in labels for v in labels
+             if u < v and rng.random() < p}
+    return PrimalGraph(frozenset(labels), frozenset(edges))
 
 
 def _bags_connected(td):
@@ -73,15 +74,45 @@ def _bags_connected(td):
 def test_td_structural_validity_random():
     rng = random.Random(23)
     for _ in range(60):
-        g = _random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.6))
+        n = rng.randint(1, 14)
+        g = _random_graph(rng, range(1, n + 1), rng.uniform(0.1, 0.6))
         td = compute_tree_decomposition(g)
         assert td_valid_for(td, g)
         assert _bags_connected(td)
 
 
+def test_td_matches_rescoring_reference():
+    # the null, edgeless, complete, star and disconnected graphs, then
+    # random ones: isolated vertices arise at low density, and labels are
+    # 1..n, multiples of 7 or spread past 64, so positions and labels differ
+    labels = [3, 7, 14, 65, 70, 128, 200]
+    pairs = [(u, v) for u in labels for v in labels if u < v]
+    graphs = [
+        PrimalGraph(frozenset(), frozenset()),
+        PrimalGraph(frozenset(labels), frozenset()),
+        PrimalGraph(frozenset(labels), frozenset(pairs)),
+        PrimalGraph(frozenset(labels), frozenset((3, v) for v in labels[1:])),
+        PrimalGraph(frozenset(labels) | {300, 301, 500},
+                    frozenset([(3, 7), (7, 14), (3, 14), (65, 128),
+                               (128, 200), (70, 200), (300, 301)])),
+    ]
+    rng = random.Random(41)
+    for k in range(330):
+        n = rng.randint(0, 30)
+        spread = [range(1, n + 1), range(7, 7 * n + 1, 7),
+                  sorted(rng.sample(range(1, 400), n))][k % 3]
+        p = 0.0 if k % 10 == 0 else 1.0 if k % 10 == 1 else rng.random()
+        graphs.append(_random_graph(rng, spread, p))
+    for g in graphs:
+        td = compute_tree_decomposition(g)
+        ref = reference_tree_decomposition(g)
+        assert (td.bags, td.tree_edges, td.width) == \
+            (ref.bags, ref.tree_edges, ref.width), g
+
+
 def test_td_validity_survives_edge_removal():
     rng = random.Random(29)
-    g = _random_graph(rng, 10, 0.4)
+    g = _random_graph(rng, range(1, 11), 0.4)
     td = compute_tree_decomposition(g)
     edges = sorted(g.edges)
     while edges:

@@ -1,4 +1,5 @@
-"""Property-based checks: every count equals brute_force_count, and the
+"""Property-based checks: every count equals brute_force_count, the
+incremental min-fill decomposition equals the rescoring reference, and the
 CLI meets any input file with exit 0 or with exit 2 and an `error:` line;
 the only other lines on err are duplicate-clause `warning:` lines."""
 
@@ -12,10 +13,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dyncount import (ComponentCache, FormulaState, UpdateOp,
-                      brute_force_count, count, normalize_clause)
+                      brute_force_count, compute_tree_decomposition, count,
+                      normalize_clause)
 from dyncount.cli import run
+from dyncount.formula import PrimalGraph
 
-from helpers import ALL_CONFIGS, session_for
+from helpers import ALL_CONFIGS, reference_tree_decomposition, session_for
 
 # at most 10 active variables, with indices up to 200
 ACTIVE = st.sets(st.integers(1, 200), min_size=1, max_size=10)
@@ -72,6 +75,28 @@ def test_update_sequence_counts_match_oracle(sequence):
                 present = sorted(session.state.clauses)
                 session.apply_op(UpdateOp.rem_clause(present[arg % len(present)]))
             assert session.checkpoint_count() == brute_force_count(session.state)
+
+
+@st.composite
+def graphs(draw):
+    """Up to 30 vertices labelled up to 200, isolated ones included; each
+    pair is an edge with one drawn probability from 0 to 1."""
+    labels = sorted(draw(st.sets(st.integers(1, 200), max_size=30)))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+    density = draw(st.integers(0, 8))
+    draws = draw(st.lists(st.integers(0, 7), min_size=len(pairs),
+                          max_size=len(pairs)))
+    edges = [pair for pair, d in zip(pairs, draws) if d < density]
+    return PrimalGraph(frozenset(labels), frozenset(edges))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs())
+def test_tree_decomposition_matches_reference(graph):
+    td = compute_tree_decomposition(graph)
+    ref = reference_tree_decomposition(graph)
+    assert (td.bags, td.tree_edges, td.width) == \
+        (ref.bags, ref.tree_edges, ref.width)
 
 
 # Input files for the CLI: DIMACS texts, AF texts and session scripts over
