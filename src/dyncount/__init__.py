@@ -4,10 +4,10 @@ from .cache import ComponentCache, make_key
 from .engine import (CountResult, EngineConfig, ResourceLimitError, SearchStats,
                      count, unit_propagate)
 from .formula import (Component, FormulaState, PrimalGraph, brute_force_count,
-                      condition, count_truth_table, decompose_components,
-                      is_tautology, normalize_clause, primal_graph)
+                      count_truth_table, decompose_components, normalize_clause,
+                      primal_graph)
 from .heuristics import (TreeDecomposition, compute_tree_decomposition,
-                         dlcs_score, select_branch_variable, td_valid_for)
+                         select_branch_variable, td_valid_for)
 from .session import (BatchError, DuplicateClauseWarning, PreconditionError,
                       Session, UpdateBatch, UpdateOp, run_script)
 from .argumentation import (ArgumentationFramework, PerturbationConfig,

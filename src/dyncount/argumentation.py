@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .formula import FormulaState
 
@@ -140,30 +139,39 @@ def encode_complete(af):
     return FormulaState(variables, clauses)
 
 
-def is_complete_extension(af, subset, attackers=None):
-    attackers = attackers or af.attackers_of()
-    for b, a in af.attacks:
-        if b in subset and a in subset:
-            return False
-    defended = set()
-    for a in af.arguments:
-        if all(any((c, b) in af.attacks for c in subset) for b in attackers[a]):
-            defended.add(a)
-    return defended == set(subset)
-
-
 def enumerate_complete_bruteforce(af):
-    """Count complete extensions by checking every argument subset."""
+    """Count complete extensions by checking every argument subset.
+
+    Arguments are bit positions in their sorted order. For a subset S,
+    `attacked[S]` is the union of the targets of S's members; S is
+    complete when it attacks none of its own members and is exactly the
+    set of arguments whose attackers all lie in `attacked[S]`.
+    """
     args = sorted(af.arguments)
-    if len(args) > BRUTE_FORCE_ARG_LIMIT:
+    n = len(args)
+    if n > BRUTE_FORCE_ARG_LIMIT:
         raise ValueError("%d arguments exceed the guard of %d"
-                         % (len(args), BRUTE_FORCE_ARG_LIMIT))
-    attackers = af.attackers_of()
+                         % (n, BRUTE_FORCE_ARG_LIMIT))
+    pos = {a: i for i, a in enumerate(args)}
+    targets = [0] * n        # targets[i]: mask of the arguments args[i] attacks
+    attackers = [0] * n      # attackers[i]: mask of the attackers of args[i]
+    for b, a in af.attacks:
+        targets[pos[b]] |= 1 << pos[a]
+        attackers[pos[a]] |= 1 << pos[b]
+    attacked = [0]   # attacked[S]: the union of the targets of S's members
+    for subset in range(1, 1 << n):
+        low = subset & -subset
+        attacked.append(attacked[subset ^ low] | targets[low.bit_length() - 1])
     count = 0
-    for r in range(len(args) + 1):
-        for subset in combinations(args, r):
-            if is_complete_extension(af, set(subset), attackers):
-                count += 1
+    for subset, hit in enumerate(attacked):
+        if hit & subset:
+            continue
+        for i, atk in enumerate(attackers):
+            # args[i] is defended by S exactly when all its attackers are hit
+            if (atk & hit == atk) != (subset >> i & 1):
+                break
+        else:
+            count += 1
     return count
 
 

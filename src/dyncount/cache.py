@@ -5,11 +5,13 @@ a global formula), so a key collision implies the two components are the
 same formula. The search hands its clauses over as int masks (see
 `formula.clause_mask`), and a mask determines its clause's literal set,
 so a frozenset of masks is still the clause set itself.
+
+The cache is a plain dict from key to count. Over its byte budget it
+drops the oldest stores first, in the dict's insertion order, so a hit
+writes nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def make_key(clauses):
@@ -26,20 +28,12 @@ def key_bytes(key):
     return 32 + 16 * len(key) + 8 * sum(map(int.bit_count, key))
 
 
-@dataclass
-class CacheEntry:
-    count: int
-    byte_size: int
-    hits: int = 0
-    created_seq: int = 0
-    last_touched_epoch: int = 0
-
-
 class ComponentCache:
-    """Key -> exact count map with a byte budget and hit/age eviction.
+    """Key -> exact count dict with a byte budget and oldest-first eviction.
 
-    Lookup relies on dict semantics: hashing narrows, full key equality
-    decides, so a hash collision can never return a wrong entry.
+    `bytes_used` is the sum of `key_bytes` over the stored keys. Lookup
+    relies on dict semantics: hashing narrows, full key equality decides,
+    so a hash collision can never return a wrong count.
     """
 
     def __init__(self, byte_budget):
@@ -48,8 +42,6 @@ class ComponentCache:
         self.byte_budget = byte_budget
         self.entries = {}
         self.bytes_used = 0
-        self.epoch = 0  # advanced once per count
-        self._seq = 0
         self.evictions = 0  # cumulative; clear() keeps it
         # clause tuple -> clause mask for the clauses of the last count
         # (see engine.count); clear() keeps it and bytes_used leaves it out
@@ -60,13 +52,8 @@ class ComponentCache:
         self.bytes_used = 0
 
     def lookup(self, key):
-        """Return the stored count or None; a hit updates the entry's hits and age."""
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        entry.hits += 1
-        entry.last_touched_epoch = self.epoch
-        return entry.count
+        """Return the stored count or None."""
+        return self.entries.get(key)
 
     def store(self, key, count):
         if key in self.entries:
@@ -74,24 +61,17 @@ class ComponentCache:
         size = key_bytes(key)
         if size > self.byte_budget:
             return  # a key that cannot fit is simply not cached
-        self._seq += 1
-        self.entries[key] = CacheEntry(count, size, 0, self._seq, self.epoch)
+        self.entries[key] = count
         self.bytes_used += size
         if self.bytes_used > self.byte_budget:
             self.evict()
 
     def evict(self):
-        """Drop lowest hits/age entries until usage is at most 0.8 * budget."""
+        """Drop the oldest entries until usage is at most 0.8 * budget."""
         target = int(self.byte_budget * 0.8)
-
-        def score(item):
-            entry = item[1]
-            age = max(1, self.epoch - entry.last_touched_epoch + 1)
-            return (entry.hits / age, entry.created_seq)
-
-        for key, entry in sorted(self.entries.items(), key=score):
+        for key in list(self.entries):
             if self.bytes_used <= target:
                 break
             del self.entries[key]
-            self.bytes_used -= entry.byte_size
+            self.bytes_used -= key_bytes(key)
             self.evictions += 1

@@ -196,9 +196,7 @@ def count(state, config, cache):
     """Exact model count of the state over its active variables.
 
     In no-shared mode the cache is cleared first; in shared mode it is
-    reused and extended. Each count advances the cache's epoch, the unit
-    in which entry age is measured. Deterministic for fixed inputs and
-    cache content.
+    reused and extended. Deterministic for fixed inputs and cache content.
     Each clause is encoded as an int mask (`clause_mask`) once, when a
     count first sees it: `cache.clause_masks` keeps the masks between
     counts, and each count syncs it with `state.clauses` by set
@@ -211,7 +209,6 @@ def count(state, config, cache):
     """
     if config.cache_mode == NO_SHARED:
         cache.clear()
-    cache.epoch += 1
     _sync_clause_masks(cache.clause_masks, state.clauses)
     root = frozenset(cache.clause_masks.values())
     if TAUTOLOGY in root:

@@ -1,4 +1,4 @@
-"""CNF primitives: clause normalization, conditioning, component split, counting oracle.
+"""CNF primitives: clause normalization, component split, counting oracle.
 
 Literals are DIMACS-style signed integers (3 means x3, -3 means not-x3).
 A clause is a tuple of literals in normalized order; a clause set uses
@@ -49,17 +49,6 @@ def clause_mask(clause):
     return mask
 
 
-def mask_clause(mask):
-    """Inverse of clause_mask: the normalized clause tuple of a mask."""
-    lits = []
-    while mask:
-        low = mask & -mask
-        bit = low.bit_length() - 1
-        lits.append(bit >> 1 if bit & 1 else -(bit >> 1))
-        mask ^= low
-    return tuple(lits)
-
-
 def even_bits(width):
     """The mask 0b...0101 with every even bit below `width` set.
 
@@ -79,7 +68,7 @@ def normalize_clause(raw):
     """Sort + dedup a literal list into the canonical clause tuple.
 
     The empty clause is legal. A tautological clause (contains l and -l)
-    is kept as-is; callers check with is_tautology.
+    is kept as-is; `engine.count` drops it.
     """
     lits = set()
     for lit in raw:
@@ -87,11 +76,6 @@ def normalize_clause(raw):
             raise MalformedLiteralError("bad literal %r" % (lit,))
         lits.add(lit)
     return tuple(sorted(lits, key=lit_key))
-
-
-def is_tautology(clause):
-    seen = set(clause)
-    return any(-l in seen for l in clause)
 
 
 def clause_vars(clause):
@@ -125,28 +109,6 @@ class FormulaState:
             for l in c:
                 if abs(l) not in self.active_vars:
                     raise ValueError("clause %r uses inactive variable %d" % (c, abs(l)))
-
-
-def condition(clauses, assignment):
-    """Residual clause set under a partial assignment (variable -> bool).
-
-    Satisfied clauses vanish, falsified literals are dropped; an empty
-    tuple in the result signals a conflict.
-    """
-    out = set()
-    for c in clauses:
-        keep = []
-        sat = False
-        for l in c:
-            val = assignment.get(abs(l))
-            if val is None:
-                keep.append(l)
-            elif (l > 0) == val:
-                sat = True
-                break
-        if not sat:
-            out.add(tuple(keep))
-    return out
 
 
 @dataclass(frozen=True)

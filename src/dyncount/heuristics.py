@@ -16,15 +16,6 @@ from dataclasses import dataclass
 from .formula import even_bits
 
 
-def dlcs_score(clauses, v):
-    """Number of clause tuples containing v in either polarity.
-
-    The scalar definition that select_branch_variable computes for all
-    variables at once.
-    """
-    return sum(1 for c in clauses if v in c or -v in c)
-
-
 @dataclass
 class TreeDecomposition:
     bags: list                  # list of frozensets of variables

@@ -1,10 +1,12 @@
 """Shared generators for the randomized suites."""
 
 import random
+from itertools import combinations
 
 from dyncount import (ArgumentationFramework, EngineConfig, FormulaState,
                       Session, normalize_clause)
-from dyncount.formula import clause_mask, mask_clause
+from dyncount.argumentation import BRUTE_FORCE_ARG_LIMIT
+from dyncount.formula import clause_mask
 from dyncount.heuristics import TreeDecomposition
 
 ALL_CONFIGS = [EngineConfig(cache_mode=mode) for mode in ("no_shared", "shared")]
@@ -56,6 +58,53 @@ EXAMPLE1 = [[1, 2, 3], [-1, -2, -3], [4, -1], [5, 1], [5, 2, 3], [4, -2, -3]]
 def example1_state():
     return FormulaState(set(range(1, 6)),
                         {normalize_clause(c) for c in EXAMPLE1})
+
+
+def condition(clauses, assignment):
+    """Residual clause set under a partial assignment (variable -> bool).
+
+    Satisfied clauses vanish, falsified literals are dropped; an empty
+    tuple in the result signals a conflict.
+    """
+    out = set()
+    for c in clauses:
+        keep = []
+        sat = False
+        for l in c:
+            val = assignment.get(abs(l))
+            if val is None:
+                keep.append(l)
+            elif (l > 0) == val:
+                sat = True
+                break
+        if not sat:
+            out.add(tuple(keep))
+    return out
+
+
+def is_tautology(clause):
+    seen = set(clause)
+    return any(-l in seen for l in clause)
+
+
+def dlcs_score(clauses, v):
+    """Number of clause tuples containing v in either polarity.
+
+    The scalar definition that select_branch_variable computes for all
+    variables at once.
+    """
+    return sum(1 for c in clauses if v in c or -v in c)
+
+
+def mask_clause(mask):
+    """Inverse of clause_mask: the normalized clause tuple of a mask."""
+    lits = []
+    while mask:
+        low = mask & -mask
+        bit = low.bit_length() - 1
+        lits.append(bit >> 1 if bit & 1 else -(bit >> 1))
+        mask ^= low
+    return tuple(lits)
 
 
 def masks(clauses):
@@ -124,3 +173,35 @@ def reference_tree_decomposition(graph):
     edges = [(i, p) for i, p in enumerate(parent) if p is not None]
     width = max((len(b) for b in bags), default=1) - 1
     return TreeDecomposition(bags, edges, max(width, 0))
+
+
+def is_complete_extension(af, subset, attackers=None):
+    """Set-based check of one subset, the reference for the bitmask oracle."""
+    attackers = attackers or af.attackers_of()
+    for b, a in af.attacks:
+        if b in subset and a in subset:
+            return False
+    defended = set()
+    for a in af.arguments:
+        if all(any((c, b) in af.attacks for c in subset) for b in attackers[a]):
+            defended.add(a)
+    return defended == set(subset)
+
+
+def reference_complete_count(af):
+    """Complete extensions counted subset by subset with is_complete_extension.
+
+    The set-based form that enumerate_complete_bruteforce computes over
+    bitmasks.
+    """
+    args = sorted(af.arguments)
+    if len(args) > BRUTE_FORCE_ARG_LIMIT:
+        raise ValueError("%d arguments exceed the guard of %d"
+                         % (len(args), BRUTE_FORCE_ARG_LIMIT))
+    attackers = af.attackers_of()
+    count = 0
+    for r in range(len(args) + 1):
+        for subset in combinations(args, r):
+            if is_complete_extension(af, set(subset), attackers):
+                count += 1
+    return count

@@ -13,7 +13,7 @@ import warnings
 from dyncount import (ComponentCache, EngineConfig, FormulaState,
                       PerturbationConfig, Session, SoftCoreConfig, UpdateBatch,
                       UpdateOp, brute_force_count, compute_soft_core,
-                      compute_tree_decomposition, condition, count,
+                      compute_tree_decomposition, count,
                       dynamic_sequence, encode_complete,
                       enumerate_complete_bruteforce, normalize_clause,
                       verify_soft_core)
@@ -21,8 +21,8 @@ from dyncount.heuristics import td_valid_for
 from dyncount.formula import primal_graph
 from dyncount.session import DuplicateClauseWarning, PreconditionError
 
-from helpers import (ALL_CONFIGS, example1_state, random_3cnf, random_af,
-                     random_cnf, session_for)
+from helpers import (ALL_CONFIGS, condition, example1_state, random_3cnf,
+                     random_af, random_cnf, session_for)
 
 warnings.simplefilter("ignore", DuplicateClauseWarning)
 

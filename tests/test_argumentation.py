@@ -8,7 +8,7 @@ from dyncount import (ArgumentationFramework, EngineConfig, PerturbationConfig,
                       normalize_clause, parse_af, perturb)
 from dyncount.argumentation import AfParseError, accepted_var, attacked_var
 
-from helpers import random_af, session_for
+from helpers import random_af, reference_complete_count, session_for
 
 
 def af_of(n, attacks):
@@ -58,6 +58,28 @@ def test_bruteforce_canonical_counts():
 def test_bruteforce_guard():
     with pytest.raises(ValueError):
         enumerate_complete_bruteforce(af_of(17, []))
+
+
+def test_bruteforce_matches_set_based_reference():
+    # the bitmask oracle against the set-based one it replaced, on AFs
+    # with no arguments, none or every attack, self-attacks, and in between
+    rng = random.Random(61)
+    shapes = set()
+    for _ in range(2200):
+        n = rng.randint(0, 10)
+        pairs = [(b, a) for b in range(1, n + 1) for a in range(1, n + 1)]
+        shape = rng.choice(["none", "sparse", "uniform", "dense", "all"])
+        p = {"none": 0.0, "sparse": 0.1, "uniform": rng.random(),
+             "dense": 0.8, "all": 1.0}[shape]
+        af = af_of(n, [pair for pair in pairs if rng.random() < p])
+        if n == 0:
+            shape = "empty"
+        elif any(b == a for b, a in af.attacks):
+            shapes.add("self-attack")
+        shapes.add(shape)
+        assert enumerate_complete_bruteforce(af) == reference_complete_count(af), af
+    assert shapes == {"empty", "none", "sparse", "uniform", "dense", "all",
+                      "self-attack"}
 
 
 def test_encoding_matches_oracle_random():

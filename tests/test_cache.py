@@ -1,7 +1,10 @@
-from dyncount import condition, normalize_clause
+import random
+
+from dyncount import (EngineConfig, Session, UpdateOp, brute_force_count,
+                      normalize_clause)
 from dyncount.cache import ComponentCache, key_bytes, make_key
 
-from helpers import example1_state, masks
+from helpers import condition, example1_state, masks, random_3cnf
 
 
 def test_key_is_context_free():
@@ -24,22 +27,21 @@ def test_lookup_round_trip_and_idempotent_store():
     cache.store(key, 3)
     assert len(cache.entries) == 1
     assert cache.lookup(key) == 3
-    assert cache.entries[key].hits == 1
+    assert cache.entries[key] == 3
 
 
-def test_eviction_prefers_hitless_entries():
-    key_a = make_key(masks({normalize_clause([1, 2])}))
-    key_b = make_key(masks({normalize_clause([3, 4])}))
-    budget = key_bytes(key_a) + key_bytes(key_b)
+def test_eviction_drops_oldest_first():
+    keys = [make_key(masks({normalize_clause([v, v + 1])})) for v in range(1, 10, 2)]
+    budget = sum(map(key_bytes, keys[:4]))
     cache = ComponentCache(budget)
-    cache.store(key_a, 3)
-    cache.store(key_b, 3)
+    for key in keys[:4]:
+        cache.store(key, 3)
     for _ in range(5):
-        cache.lookup(key_a)
-    cache.store(make_key(masks({normalize_clause([5, 6])})), 3)  # pushes over budget
-    assert key_a in cache.entries
-    assert key_b not in cache.entries
-    assert cache.bytes_used <= budget
+        cache.lookup(keys[0])  # hits do not protect an entry
+    cache.store(keys[4], 3)  # pushes over budget; evicts down to 0.8 * budget
+    assert list(cache.entries) == keys[2:]
+    assert cache.evictions == 2
+    assert cache.bytes_used == sum(map(key_bytes, keys[2:])) <= budget
 
 
 def test_eviction_noop_under_budget():
@@ -56,3 +58,28 @@ def test_oversized_key_not_stored():
     cache.store(big, 1)
     assert big not in cache.entries
     assert cache.lookup(big) is None
+
+
+def test_byte_accounting_under_eviction():
+    # bytes_used is kept by adding and subtracting key_bytes, never by
+    # a stored size, so after every count it must equal the recomputed sum
+    rng = random.Random(131)
+    evicted = 0
+    for budget in (2048, 4096, 8192):
+        for _ in range(6):
+            session = Session(EngineConfig(cache_byte_budget=budget))
+            session.state = random_3cnf(rng, 14, 50)
+            for _ in range(12):
+                clauses = sorted(session.state.clauses)
+                if clauses and rng.random() < 0.6:
+                    session.apply_op(UpdateOp.rem_clause(rng.choice(clauses)))
+                else:
+                    extra = random_3cnf(rng, 14, 1).clauses - session.state.clauses
+                    for clause in extra:
+                        session.apply_op(UpdateOp.add_clause(clause))
+                assert session.checkpoint_count() == brute_force_count(session.state)
+                cache = session.cache
+                assert cache.bytes_used == sum(map(key_bytes, cache.entries))
+                assert cache.bytes_used <= cache.byte_budget
+            evicted += cache.evictions
+    assert evicted > 0

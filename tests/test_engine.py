@@ -7,14 +7,14 @@ import pytest
 from dyncount import engine
 from dyncount import (BatchError, ComponentCache, EngineConfig, FormulaState,
                       ResourceLimitError, Session, UpdateOp,
-                      brute_force_count, condition, count, is_tautology,
-                      normalize_clause, unit_propagate)
+                      brute_force_count, count, normalize_clause,
+                      unit_propagate)
 from dyncount.cache import make_key
 from dyncount.engine import SearchStats
 from dyncount.formula import clause_mask, count_truth_table, vars_of
 
-from helpers import (ALL_CONFIGS, clauses_of, example1_state, masks,
-                     random_3cnf, random_cnf, session_for)
+from helpers import (ALL_CONFIGS, clauses_of, condition, example1_state,
+                     is_tautology, masks, random_3cnf, random_cnf, session_for)
 
 
 def count_once(state, config):

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from dyncount import (FormulaState, brute_force_count, condition,
-                      decompose_components, is_tautology, normalize_clause,
-                      primal_graph)
+from dyncount import (FormulaState, brute_force_count, decompose_components,
+                      normalize_clause, primal_graph)
 from dyncount.cache import make_key
 from dyncount.formula import (MalformedLiteralError, TooManyVariablesError,
                               clause_key, clause_mask, count_truth_table,
-                              mask_clause, vars_of)
+                              vars_of)
 
-from helpers import clauses_of, example1_state, masks, random_cnf, var_set
+from helpers import (clauses_of, condition, example1_state, is_tautology,
+                     mask_clause, masks, random_cnf, var_set)
 
 
 def test_normalize_sort_and_dedup():

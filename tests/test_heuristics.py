@@ -1,11 +1,10 @@
 import random
 
-from dyncount import (compute_tree_decomposition, condition, dlcs_score,
-                      normalize_clause, primal_graph, select_branch_variable,
-                      td_valid_for)
+from dyncount import (compute_tree_decomposition, normalize_clause,
+                      primal_graph, select_branch_variable, td_valid_for)
 from dyncount.formula import PrimalGraph
 
-from helpers import (example1_state, masks, random_cnf,
+from helpers import (condition, dlcs_score, example1_state, masks, random_cnf,
                      reference_tree_decomposition)
 
 

@@ -92,8 +92,8 @@ def test_replace_state_installs_copy_and_keeps_cache():
 
 
 def test_cache_age_ignores_ops_between_counts():
-    # entry age is measured in counts, so the number of ops that lead to
-    # the same formula leaves the cache, ages included, the same
+    # only counts store entries, so the number of ops that lead to the same
+    # formula leaves the cache, in its eviction (insertion) order, the same
     one_op = loaded_session(EngineConfig(cache_mode="shared"))
     many_ops = loaded_session(EngineConfig(cache_mode="shared"))
     for session in (one_op, many_ops):
@@ -105,7 +105,7 @@ def test_cache_age_ignores_ops_between_counts():
         many_ops.apply_op(UpdateOp.rem_var(v))
     for session in (one_op, many_ops):
         assert session.checkpoint_count() == 20
-    assert one_op.cache.entries == many_ops.cache.entries
+    assert list(one_op.cache.entries.items()) == list(many_ops.cache.entries.items())
 
 
 def test_empty_batch_no_change():
