@@ -1,8 +1,7 @@
 """Incremental exact model counter with a persistent component cache."""
 
 from .cache import ComponentCache, make_key
-from .engine import (CountResult, EngineConfig, ResourceLimitError, SearchStats,
-                     count, unit_propagate)
+from .engine import CountResult, EngineConfig, SearchStats, count, unit_propagate
 from .formula import (Component, FormulaState, PrimalGraph, brute_force_count,
                       count_truth_table, decompose_components, normalize_clause,
                       primal_graph)

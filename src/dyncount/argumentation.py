@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import FormulaState
 
@@ -175,20 +175,15 @@ def enumerate_complete_bruteforce(af):
     return count
 
 
+# the perturbation operations and their draw probabilities, in draw order
+OPERATIONS = (("delete_argument", 0.10), ("add_argument", 0.20),
+              ("delete_attacks", 0.40), ("add_attacks", 0.30))
+
+
 @dataclass
 class PerturbationConfig:
-    delete_argument: float = 0.10
-    add_argument: float = 0.20
-    delete_attacks: float = 0.40
-    add_attacks: float = 0.30
     steps: int = 1000
     seed: int = 0
-
-    def __post_init__(self):
-        total = (self.delete_argument + self.add_argument
-                 + self.delete_attacks + self.add_attacks)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("operation probabilities must sum to 1")
 
 
 def _applicable(tag, af):
@@ -204,16 +199,13 @@ def _applicable(tag, af):
     raise ValueError(tag)
 
 
-def perturb(af, config, rng):
-    """Apply one randomly drawn operation; redraws when it cannot apply."""
-    tags = ("delete_argument", "add_argument", "delete_attacks", "add_attacks")
-    weights = (config.delete_argument, config.add_argument,
-               config.delete_attacks, config.add_attacks)
+def perturb(af, rng):
+    """Apply one operation drawn from `OPERATIONS`; redraws when it cannot apply."""
     for _ in range(64):
         roll = rng.random()
         acc = 0.0
-        tag = tags[-1]
-        for t, w in zip(tags, weights):
+        tag = OPERATIONS[-1][0]
+        for t, w in OPERATIONS:
             acc += w
             if roll < acc:
                 tag = t
@@ -266,7 +258,7 @@ def dynamic_sequence(af, config, session):
     records = []
     current = af
     for step in range(1, config.steps + 1):
-        current, tag = perturb(current, config, rng)
+        current, tag = perturb(current, rng)
         session.replace_state(encode_complete(current))
         count = session.checkpoint_count()
         records.append(StepRecord(step, tag, current, count,

@@ -1,7 +1,6 @@
 """Command-line surface for scripts and harnesses.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 resource limit
-(time budget or memory).
+Exit codes: 0 success, 1 usage error, 2 input parse error, 3 out of memory.
 Result lines go to stdout; every other stdout line is prefixed "c ".
 Diagnostics (`error:` and `warning:` lines) go to stderr.
 """
@@ -18,7 +17,7 @@ import warnings
 from .argumentation import (AfParseError, PerturbationConfig, dynamic_sequence,
                             encode_complete, read_af)
 from .dimacs import DimacsError, parse_dimacs, read_dimacs, state_from_dimacs
-from .engine import EngineConfig, ResourceLimitError
+from .engine import EngineConfig
 from .formula import FormulaState, primal_graph
 from .heuristics import compute_tree_decomposition
 from .session import (DuplicateClauseWarning, PreconditionError, ScriptError,
@@ -96,15 +95,21 @@ def _emit_stats(session, args, out):
             out.write(line + "\n")
 
 
-def _cmd_count(args, out):
+def _count_state(state, args, out):
+    """Count `state` once in a fresh session and write `1 <count>`, then
+    the `c json` record under `--stats-json`, then the `--stats` lines."""
     session = _make_session(args)
-    with open(args.file) as fh:
-        session.replace_state(state_from_dimacs(fh.read()))
-    value = session.checkpoint_count()
-    out.write("1 %d\n" % value)
+    session.replace_state(state)
+    out.write("1 %d\n" % session.checkpoint_count())
     if args.stats_json:
         out.write("c json %s\n" % json.dumps(session.stats_record(), sort_keys=True))
     _emit_stats(session, args, out)
+
+
+def _cmd_count(args, out):
+    with open(args.file) as fh:
+        state = state_from_dimacs(fh.read())
+    _count_state(state, args, out)
 
 
 def _cmd_session(args, out):
@@ -138,12 +143,7 @@ def _cmd_softcore(args, out):
 
 
 def _cmd_af_count(args, out):
-    session = _make_session(args)
-    af = read_af(args.file)
-    session.replace_state(encode_complete(af))
-    value = session.checkpoint_count()
-    out.write("1 %d\n" % value)
-    _emit_stats(session, args, out)
+    _count_state(encode_complete(read_af(args.file)), args, out)
 
 
 def _cmd_af_dynamic(args, out):
@@ -233,9 +233,6 @@ def run(argv, out=None, err=None):
             UnicodeDecodeError) as exc:
         err.write("error: %s\n" % exc)
         return 2
-    except ResourceLimitError as exc:
-        err.write("error: %s\n" % exc)
-        return 3
     except MemoryError as exc:
         err.write("error: %s\n" % (str(exc) or "out of memory"))
         return 3

@@ -1,8 +1,8 @@
-"""DIMACS CNF reading and writing."""
+"""DIMACS CNF reading."""
 
 from __future__ import annotations
 
-from .formula import FormulaState, normalize_clause, sort_clauses
+from .formula import FormulaState, normalize_clause
 
 
 class DimacsError(ValueError):
@@ -75,12 +75,3 @@ def state_from_dimacs(text):
     """FormulaState with active variables 1..nVars even when non-occurring."""
     n_vars, clauses = parse_dimacs(text)
     return FormulaState(set(range(1, n_vars + 1)), set(clauses))
-
-
-def write_dimacs(state):
-    n_vars = max(state.active_vars, default=0)
-    clauses = sort_clauses(state.clauses)
-    lines = ["p cnf %d %d" % (n_vars, len(clauses))]
-    for c in clauses:
-        lines.append(" ".join(str(l) for l in c) + " 0")
-    return "\n".join(lines) + "\n"

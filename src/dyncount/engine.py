@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -21,10 +20,6 @@ CACHE_MODES = (NO_SHARED, SHARED)
 TAUTOLOGY = -1  # the mask `ComponentCache.clause_masks` keeps for a tautology
 
 
-class ResourceLimitError(RuntimeError):
-    """Configured time budget exceeded during a count."""
-
-
 @dataclass
 class EngineConfig:
     cache_mode: str = SHARED
@@ -33,7 +28,6 @@ class EngineConfig:
     heuristic: str = "dlcs"
     td_mode: str = "off"
     cache_byte_budget: int = 512 * 1024 * 1024
-    time_budget: float | None = None   # seconds per count, None = unlimited
 
     def __post_init__(self):
         if self.cache_mode not in CACHE_MODES:
@@ -68,25 +62,26 @@ class CountResult:
     stats: SearchStats
 
 
-def unit_propagate(clauses, assignment, stats=None, check_budget=None):
+def unit_propagate(clauses, assignment):
     """Condition clause masks on an assignment and propagate units to fixpoint.
 
     `assignment` is the mask of the literals made true. Returns (residual
-    clause masks, extended assignment mask) on success or (None,
-    assignment) on conflict.
+    clause masks, extended assignment mask) on success, or (None, the
+    assignment extended by the rounds before the conflict) on conflict.
 
     Each round tests the clauses against the literals made true and made
     false by the previous round's units (the first round: by the incoming
     assignment); a clause that meets neither passes through unchanged.
     A clause c is satisfied if `c & true`, loses its false literals as
     `c & ~false`, and is a unit if `c & (c - 1)` is 0.
-    `check_budget`, if given, is called once per round.
+    A round's units are never assigned already, and a round that conflicts
+    adds none of its units, so on success and on conflict alike the number
+    of propagated literals is the extended mask's `bit_count()` minus
+    `assignment.bit_count()`.
     """
     true = assignment
     pending = clauses
     while True:
-        if check_budget is not None:
-            check_budget()
         false = negate(true)
         touched = true | false
         keep = ~false
@@ -108,8 +103,6 @@ def unit_propagate(clauses, assignment, stats=None, check_budget=None):
         if units & negate(units):
             return None, assignment
         assignment |= units
-        if stats is not None:
-            stats.propagations += units.bit_count()
         true = units
         pending = reduced
 
@@ -117,19 +110,9 @@ def unit_propagate(clauses, assignment, stats=None, check_budget=None):
 class _Search:
     """One count over a fixed state; owns the per-count statistics."""
 
-    def __init__(self, config, cache):
+    def __init__(self, cache):
         self.cache = cache
         self.stats = SearchStats()
-        self.deadline = None
-        if config.time_budget is not None:
-            self.deadline = time.monotonic() + config.time_budget
-        self._tick = 0
-
-    def _check_budget(self):
-        self._tick += 1
-        if self.deadline is not None and self._tick % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise ResourceLimitError("count exceeded the configured time budget")
 
     def solve(self, clauses, variables, root=False, key=None):
         """Count clause masks over exactly the variables of mask `variables`.
@@ -158,8 +141,9 @@ class _Search:
             decisions = (1 << 2 * v + 1, 1 << 2 * v)
         total = 0
         for decision in decisions:
-            residual, assignment = unit_propagate(
-                clauses, decision, self.stats, self._check_budget)
+            residual, assignment = unit_propagate(clauses, decision)
+            self.stats.propagations += (assignment.bit_count()
+                                        - decision.bit_count())
             if residual is None:
                 self.stats.conflicts += 1
                 continue
@@ -218,7 +202,7 @@ def count(state, config, cache):
     variables = reduce(or_, root, 0)
     variables |= negate(variables)
     free_global = len(state.active_vars) - (variables.bit_count() >> 1)
-    search = _Search(config, cache)
+    search = _Search(cache)
     if not root:
         return CountResult(1 << free_global, search.stats)
     stack = [search.solve(root, variables, root=True)]
@@ -230,7 +214,6 @@ def count(state, config, cache):
             stack.pop()
             sent = done.value
         else:
-            search._check_budget()
             stack.append(child)
             sent = None
     return CountResult(sent << free_global, search.stats)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from . import engine
 from .cache import ComponentCache
 from .dimacs import read_dimacs
-from .engine import EngineConfig, ResourceLimitError, SearchStats
+from .engine import EngineConfig, SearchStats
 from .formula import FormulaState, clause_vars, normalize_clause
 
 

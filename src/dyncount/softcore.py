@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .session import PreconditionError, UpdateOp
+from .session import PreconditionError, Session, UpdateOp
 from .formula import sort_clauses
 
 
@@ -84,23 +84,20 @@ def compute_soft_core(state, config, session, order=None):
                           per_step, clauses)
 
 
-def verify_soft_core(state, result, config, session_factory=None):
+def verify_soft_core(state, result, config):
     """Check threshold compliance, replay-exactness and count monotonicity.
 
-    `session_factory` must return a fresh session for the recount and the
-    replay so the verification does not depend on prior cache content.
+    The recount and the replay each run in a fresh default `Session`, so
+    the verification does not depend on prior cache content.
     """
-    if session_factory is None:
-        from .session import Session
-        session_factory = Session
     kept_clauses = {result.clause_order[i - 1] for i in result.kept_indices}
     recount_state = state.copy()
     recount_state.clauses = kept_clauses
-    recount_session = session_factory().replace_state(recount_state)
+    recount_session = Session().replace_state(recount_state)
     if recount_session.checkpoint_count() > result.threshold:
         return False
 
-    replay = compute_soft_core(state, config, session_factory(),
+    replay = compute_soft_core(state, config, Session(),
                                order=result.clause_order)
     if replay.removed_indices != result.removed_indices:
         return False

@@ -6,7 +6,7 @@ from itertools import combinations
 from dyncount import (ArgumentationFramework, EngineConfig, FormulaState,
                       Session, normalize_clause)
 from dyncount.argumentation import BRUTE_FORCE_ARG_LIMIT
-from dyncount.formula import clause_mask
+from dyncount.formula import clause_mask, sort_clauses
 from dyncount.heuristics import TreeDecomposition
 
 ALL_CONFIGS = [EngineConfig(cache_mode=mode) for mode in ("no_shared", "shared")]
@@ -58,6 +58,17 @@ EXAMPLE1 = [[1, 2, 3], [-1, -2, -3], [4, -1], [5, 1], [5, 2, 3], [4, -2, -3]]
 def example1_state():
     return FormulaState(set(range(1, 6)),
                         {normalize_clause(c) for c in EXAMPLE1})
+
+
+def write_dimacs(state):
+    """DIMACS text of a state, clauses in sorted order; the inverse of
+    `state_from_dimacs` when the active variables are 1..max."""
+    n_vars = max(state.active_vars, default=0)
+    clauses = sort_clauses(state.clauses)
+    lines = ["p cnf %d %d" % (n_vars, len(clauses))]
+    for c in clauses:
+        lines.append(" ".join(str(l) for l in c) + " 0")
+    return "\n".join(lines) + "\n"
 
 
 def condition(clauses, assignment):

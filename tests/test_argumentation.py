@@ -227,7 +227,7 @@ def test_perturb_deterministic():
         cur = af
         trace = []
         for _ in range(20):
-            cur, tag = perturb(cur, PerturbationConfig(seed=0), rng)
+            cur, tag = perturb(cur, rng)
             trace.append((tag, cur))
         runs.append(trace)
     assert runs[0] == runs[1]
@@ -237,7 +237,7 @@ def test_perturb_delete_last_argument():
     af = af_of(1, [])
     rng = random.Random(0)
     for _ in range(200):
-        out, tag = perturb(af, PerturbationConfig(), rng)
+        out, tag = perturb(af, rng)
         if tag == "delete_argument":
             assert out.arguments == frozenset()
             return
@@ -248,13 +248,12 @@ def test_perturb_empty_af_only_adds():
     af = ArgumentationFramework(frozenset(), frozenset())
     rng = random.Random(3)
     for _ in range(20):
-        out, tag = perturb(af, PerturbationConfig(), rng)
+        out, tag = perturb(af, rng)
         assert tag == "add_argument"
         assert len(out.arguments) == 1
 
 
 def test_operation_histogram():
-    config = PerturbationConfig()
     totals = {"delete_argument": 0, "add_argument": 0,
               "delete_attacks": 0, "add_attacks": 0}
     steps = 0
@@ -262,7 +261,7 @@ def test_operation_histogram():
         rng = random.Random(seed)
         af = af_of(8, [(1, 2), (2, 3), (3, 4), (5, 6), (7, 8), (8, 1)])
         for _ in range(1000):
-            af, tag = perturb(af, config, rng)
+            af, tag = perturb(af, rng)
             totals[tag] += 1
             steps += 1
     expected = {"delete_argument": 0.10, "add_argument": 0.20,

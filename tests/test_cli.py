@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from dyncount import PerturbationConfig, Session, dynamic_sequence, parse_af
+from dyncount import (PerturbationConfig, Session, dynamic_sequence,
+                      encode_complete, parse_af)
 from dyncount.cli import run
-from dyncount.dimacs import write_dimacs
 
-from helpers import example1_state, random_3cnf
+from helpers import example1_state, random_3cnf, write_dimacs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,6 +107,22 @@ def test_af_count_mutual_pair(tmp_path):
     code, out, err = invoke(["af-count", str(path)])
     assert code == 0
     assert out == "1 3\n"
+
+
+def test_af_count_stats_json_then_stats(tmp_path):
+    import json
+    path = tmp_path / "mutual.af"
+    path.write_text("p af 2\n1 2\n2 1\n")
+    session = Session()
+    session.replace_state(encode_complete(parse_af(path.read_text())))
+    session.checkpoint_count()
+    code, out, _ = invoke(["af-count", str(path), "--stats", "--stats-json"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "1 3"
+    assert lines[1].startswith("c json ")
+    assert json.loads(lines[1][len("c json "):]) == session.stats_record()
+    assert lines[2:] == session.stats_lines()
 
 
 def test_af_dynamic_deterministic(tmp_path):

@@ -6,9 +6,8 @@ import pytest
 
 from dyncount import engine
 from dyncount import (BatchError, ComponentCache, EngineConfig, FormulaState,
-                      ResourceLimitError, Session, UpdateOp,
-                      brute_force_count, count, normalize_clause,
-                      unit_propagate)
+                      Session, UpdateOp, brute_force_count, count,
+                      normalize_clause, unit_propagate)
 from dyncount.cache import make_key
 from dyncount.engine import SearchStats
 from dyncount.formula import clause_mask, count_truth_table, vars_of
@@ -321,16 +320,6 @@ def test_long_chain_needs_no_recursion_limit():
         assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(saved)
-
-
-def test_time_budget_checked_during_propagation():
-    # the unit x1 propagates along the whole chain at the root, so no
-    # component is ever searched; only the check inside propagation can stop it
-    n = 3000
-    clauses = {normalize_clause([-i, i + 1]) for i in range(1, n + 1)}
-    st = FormulaState(set(range(1, n + 2)), clauses | {(1,)})
-    with pytest.raises(ResourceLimitError):
-        count_once(st, EngineConfig(time_budget=0))
 
 
 def test_tiny_budget_still_exact():

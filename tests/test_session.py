@@ -7,10 +7,11 @@ from dyncount import (BatchError, DuplicateClauseWarning, EngineConfig,
                       FormulaState, PreconditionError, Session, UpdateBatch,
                       UpdateOp, brute_force_count, normalize_clause,
                       run_script)
-from dyncount.dimacs import parse_dimacs, state_from_dimacs, write_dimacs
+from dyncount.dimacs import parse_dimacs, state_from_dimacs
 from dyncount.session import ClauseNotFoundError, ScriptError
 
-from helpers import ALL_CONFIGS, EXAMPLE1, example1_state, session_for
+from helpers import (ALL_CONFIGS, EXAMPLE1, example1_state, session_for,
+                     write_dimacs)
 
 
 def loaded_session(config=None):
