@@ -7,7 +7,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .formula import FormulaState
+from .formula import HEADER_LIMIT, FormulaState
 
 BRUTE_FORCE_ARG_LIMIT = 16
 
@@ -52,6 +52,9 @@ def parse_af(text):
                 raise AfParseError("non-integer argument count", line_no) from None
             if n < 0:
                 raise AfParseError("negative argument count", line_no)
+            if n > HEADER_LIMIT:
+                raise AfParseError("argument count %d above the limit of %d"
+                                   % (n, HEADER_LIMIT), line_no)
             continue
         if n is None:
             raise AfParseError("attack before header", line_no)

@@ -1,6 +1,12 @@
 """Command-line surface for scripts and harnesses.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 out of memory.
+Exit codes:
+  0  success;
+  1  usage error, including a flag the subcommand does not take;
+  2  input error: an unreadable or malformed file or script, an update
+     whose precondition fails, or a header that declares more than
+     `formula.HEADER_LIMIT` (1,000,000) variables or arguments;
+  3  out of memory.
 Result lines go to stdout; every other stdout line is prefixed "c ".
 Diagnostics (`error:` and `warning:` lines) go to stderr.
 """
@@ -16,7 +22,8 @@ import warnings
 
 from .argumentation import (AfParseError, PerturbationConfig, dynamic_sequence,
                             encode_complete, read_af)
-from .dimacs import DimacsError, parse_dimacs, read_dimacs, state_from_dimacs
+from .dimacs import (DimacsError, declared_variables, parse_dimacs, read_dimacs,
+                     state_from_dimacs)
 from .engine import EngineConfig
 from .formula import FormulaState, primal_graph
 from .heuristics import compute_tree_decomposition
@@ -58,28 +65,31 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
-def _build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--mode", choices=sorted(_MODE_NAMES),
-                        default="shared")
-    shared.add_argument("--cache-bytes", type=_positive_int,
-                        default=512 * 1024 * 1024)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--stats", action="store_true")
-    shared.add_argument("--stats-json", action="store_true")
-    shared.add_argument("--delta", type=_non_negative_float, default=0.20)
-    shared.add_argument("--steps", type=_positive_int, default=1000)
+# every flag a subcommand may take, with its argparse settings
+_FLAGS = {
+    "--mode": dict(choices=sorted(_MODE_NAMES), default="shared"),
+    "--cache-bytes": dict(type=_positive_int, default=512 * 1024 * 1024),
+    "--seed": dict(type=int, default=0),
+    "--stats": dict(action="store_true"),
+    "--stats-json": dict(action="store_true"),
+    "--delta": dict(type=_non_negative_float, default=0.20),
+    "--steps": dict(type=_positive_int, default=1000),
+}
 
+
+def _build_parser():
     parser = _Parser(prog="dyncount",
                      description="incremental exact model counter")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("count", parents=[shared]).add_argument("file")
-    p = sub.add_parser("session", parents=[shared])
-    p.add_argument("script", nargs="?")
-    sub.add_parser("softcore", parents=[shared]).add_argument("file")
-    sub.add_parser("af-count", parents=[shared]).add_argument("file")
-    sub.add_parser("af-dynamic", parents=[shared]).add_argument("file")
-    sub.add_parser("td", parents=[shared]).add_argument("file")
+    for name, (_, flags) in _COMMANDS.items():
+        # no abbreviations: `session --stats` would be read as --stats-json
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if name == "session":
+            p.add_argument("script", nargs="?")
+        else:
+            p.add_argument("file")
     return parser
 
 
@@ -126,7 +136,7 @@ def _cmd_softcore(args, out):
     session = _make_session(args)
     with open(args.file) as fh:
         n_vars, ordered = parse_dimacs(fh.read())
-    state = FormulaState(set(range(1, n_vars + 1)), set(ordered))
+    state = FormulaState(set(declared_variables(n_vars)), set(ordered))
     config = SoftCoreConfig(delta=args.delta)
     result = compute_soft_core(state, config, session, order=ordered)
     out.write("c base %d\n" % result.base_count)
@@ -166,13 +176,16 @@ def _cmd_td(args, out):
     out.write("bags %d\n" % len(td.bags))
 
 
+# subcommand -> (handler, the flags the handler reads); any other flag is
+# a usage error
 _COMMANDS = {
-    "count": _cmd_count,
-    "session": _cmd_session,
-    "softcore": _cmd_softcore,
-    "af-count": _cmd_af_count,
-    "af-dynamic": _cmd_af_dynamic,
-    "td": _cmd_td,
+    "count": (_cmd_count, ("--mode", "--cache-bytes", "--stats", "--stats-json")),
+    "session": (_cmd_session, ("--mode", "--cache-bytes", "--stats-json")),
+    "softcore": (_cmd_softcore, ("--mode", "--cache-bytes", "--stats", "--delta")),
+    "af-count": (_cmd_af_count, ("--mode", "--cache-bytes", "--stats", "--stats-json")),
+    "af-dynamic": (_cmd_af_dynamic, ("--mode", "--cache-bytes", "--seed", "--stats",
+                                     "--stats-json", "--steps")),
+    "td": (_cmd_td, ()),
 }
 
 
@@ -228,7 +241,7 @@ def run(argv, out=None, err=None):
         return 0
     try:
         with _any_int_length(), _duplicate_warnings_to(err):
-            _COMMANDS[args.command](args, out)
+            _COMMANDS[args.command][0](args, out)
     except (DimacsError, AfParseError, ScriptError, PreconditionError,
             UnicodeDecodeError) as exc:
         err.write("error: %s\n" % exc)

@@ -26,6 +26,11 @@ class TooManyVariablesError(ValueError):
 
 BRUTE_FORCE_VAR_LIMIT = 26
 
+# The most variables a DIMACS header, or arguments an AF header, may
+# declare. Loading a header expands it into a set of that many ints, which
+# at this limit takes about 70 MB.
+HEADER_LIMIT = 1_000_000
+
 
 def lit_key(lit):
     """Total order on literals: by variable, negative polarity first."""

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 from . import engine
 from .cache import ComponentCache
-from .dimacs import read_dimacs
+from .dimacs import declared_variables, read_dimacs
 from .engine import EngineConfig, SearchStats
 from .formula import FormulaState, clause_vars, normalize_clause
 
@@ -34,8 +36,10 @@ class BatchError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class UpdateOp:
+class UpdateOp(NamedTuple):
+    """One atomic update. As a tuple it is cheap to build, and it compares
+    equal to the plain tuple (kind, clause, var, path)."""
+
     kind: str
     clause: tuple = None
     var: int = None
@@ -78,7 +82,7 @@ class Session:
         self.config = config or EngineConfig()
         self.state = FormulaState()
         self.cache = ComponentCache(self.config.cache_byte_budget)
-        self.counts = []
+        self.checkpoints = 0
         self.stats = SearchStats()
         self.last_count_stats = None
 
@@ -88,8 +92,8 @@ class Session:
         kind = op.kind
         state = self.state
         if kind == "add_clause":
-            missing = clause_vars(op.clause) - state.active_vars
-            if missing:
+            if not state.active_vars.issuperset(map(abs, op.clause)):
+                missing = clause_vars(op.clause) - state.active_vars
                 raise PreconditionError(
                     "add_clause %r: inactive variable %d" % (op.clause, min(missing)))
             if op.clause in state.clauses:
@@ -122,9 +126,10 @@ class Session:
             # expands to add_var per header variable then add_clause per
             # clause; a failure leaves the state as it was
             n_vars, clauses = read_dimacs(op.path)
+            variables = declared_variables(n_vars)
             saved = state.copy()
             try:
-                for v in range(1, n_vars + 1):
+                for v in variables:
                     self.apply_op(UpdateOp.add_var(v))
                 for c in clauses:
                     self.apply_op(UpdateOp("add_clause", clause=c))
@@ -142,12 +147,14 @@ class Session:
         Every clause is checked against `state.active_vars` before anything
         changes. The cache is kept, so later counts reuse it.
         """
-        for c in state.clauses:
-            missing = clause_vars(c) - state.active_vars
-            if missing:
-                raise PreconditionError(
-                    "replace_state: clause %r uses inactive variable %d"
-                    % (c, min(missing)))
+        active = state.active_vars
+        if not active.issuperset(map(abs, chain.from_iterable(state.clauses))):
+            for c in state.clauses:
+                missing = clause_vars(c) - active
+                if missing:
+                    raise PreconditionError(
+                        "replace_state: clause %r uses inactive variable %d"
+                        % (c, min(missing)))
         self.state = state.copy()
         return self
 
@@ -166,10 +173,9 @@ class Session:
     # -- counting ---------------------------------------------------------
 
     def checkpoint_count(self):
-        """Count the current state; appends (index, count) to the emitted list."""
+        """Count the current state and add one to `checkpoints`."""
         result = engine.count(self.state, self.config, self.cache)
-        index = len(self.counts) + 1
-        self.counts.append((index, result.count))
+        self.checkpoints += 1
         self.stats.merge(result.stats)
         self.last_count_stats = result.stats
         return result.count
@@ -189,7 +195,7 @@ class Session:
     def stats_record(self):
         last = self.last_count_stats or SearchStats()
         return {
-            "checkpoint": len(self.counts),
+            "checkpoint": self.checkpoints,
             "decisions": last.decisions,
             "propagations": last.propagations,
             "conflicts": last.conflicts,
@@ -256,7 +262,7 @@ def run_script(lines, session, out, stats_json=False):
             session.apply_op(UpdateOp.load(args[0]))
         elif cmd == "count":
             value = session.checkpoint_count()
-            out.write("%d %d\n" % (len(session.counts), value))
+            out.write("%d %d\n" % (session.checkpoints, value))
             if stats_json:
                 out.write("c json %s\n" % json.dumps(session.stats_record(),
                                                      sort_keys=True))

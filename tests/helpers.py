@@ -6,6 +6,7 @@ from itertools import combinations
 from dyncount import (ArgumentationFramework, EngineConfig, FormulaState,
                       Session, normalize_clause)
 from dyncount.argumentation import BRUTE_FORCE_ARG_LIMIT
+from dyncount.dimacs import DimacsError
 from dyncount.formula import clause_mask, sort_clauses
 from dyncount.heuristics import TreeDecomposition
 
@@ -69,6 +70,56 @@ def write_dimacs(state):
     for c in clauses:
         lines.append(" ".join(str(l) for l in c) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def reference_parse_dimacs(text):
+    """Token-by-token DIMACS parser, the reference for `parse_dimacs`.
+
+    The same results and the same errors, found one literal at a time.
+    """
+    n_vars = None
+    n_clauses = None
+    clauses = []
+    current = []
+    for line_no, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if n_vars is not None:
+                raise DimacsError("duplicate header", line_no)
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError("expected 'p cnf <nVars> <nClauses>'", line_no)
+            try:
+                n_vars, n_clauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsError("non-integer header fields", line_no) from None
+            if n_vars < 0 or n_clauses < 0:
+                raise DimacsError("negative header fields", line_no)
+            continue
+        if n_vars is None:
+            raise DimacsError("clause before header", line_no)
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise DimacsError("bad token %r" % tok, line_no) from None
+            if lit == 0:
+                clauses.append(normalize_clause(current))
+                current = []
+            else:
+                if abs(lit) > n_vars:
+                    raise DimacsError("literal %d exceeds header" % lit, line_no)
+                current.append(lit)
+    if current:
+        raise DimacsError("unterminated clause at end of file")
+    if n_vars is None:
+        raise DimacsError("missing header")
+    if n_clauses is not None and len(clauses) != n_clauses:
+        raise DimacsError("header announced %d clauses, found %d"
+                          % (n_clauses, len(clauses)))
+    return n_vars, clauses
 
 
 def condition(clauses, assignment):

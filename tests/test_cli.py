@@ -13,6 +13,8 @@ import pytest
 from dyncount import (PerturbationConfig, Session, dynamic_sequence,
                       encode_complete, parse_af)
 from dyncount.cli import run
+from dyncount.dimacs import declared_variables
+from dyncount.formula import HEADER_LIMIT
 
 from helpers import example1_state, random_3cnf, write_dimacs
 
@@ -184,6 +186,74 @@ def test_td_memory_follows_the_clauses_not_the_header(tmp_path):
     assert code == 0
     assert out.splitlines() == ["width 1", "bags 2"]
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("declared", [HEADER_LIMIT + 1, 10**12])
+def test_oversize_headers_exit_2_before_expanding(tmp_path, declared):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf %d 1\n1 0\n" % declared)
+    af = tmp_path / "wide.af"
+    af.write_text("p af %d\n" % declared)
+    script = tmp_path / "load.txt"
+    script.write_text("load %s\ncount\n" % cnf)
+    for command, path in (("count", cnf), ("softcore", cnf), ("af-count", af),
+                          ("af-dynamic", af), ("session", script), ("td", cnf)):
+        tracemalloc.start()
+        try:
+            code, out, err = invoke([command, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, command
+        if command == "td":
+            # td reads only the clauses, so it takes any header
+            assert (code, out, err) == (0, "width 0\nbags 1\n", ""), command
+        else:
+            assert code == 2, command
+            assert err.startswith("error: "), command
+            assert err.endswith(" above the limit of %d\n" % HEADER_LIMIT), command
+    assert declared_variables(HEADER_LIMIT) == range(1, HEADER_LIMIT + 1)
+
+
+# every flag some subcommand takes, with a value, and the flags each
+# subcommand takes
+FLAG_ARGV = {"--mode": ["--mode", "shared"],
+             "--cache-bytes": ["--cache-bytes", "4096"],
+             "--seed": ["--seed", "9"], "--stats": ["--stats"],
+             "--stats-json": ["--stats-json"], "--delta": ["--delta", "0.5"],
+             "--steps": ["--steps", "3"]}
+OWN_FLAGS = {
+    "count": {"--mode", "--cache-bytes", "--stats", "--stats-json"},
+    "session": {"--mode", "--cache-bytes", "--stats-json"},
+    "softcore": {"--mode", "--cache-bytes", "--stats", "--delta"},
+    "af-count": {"--mode", "--cache-bytes", "--stats", "--stats-json"},
+    "af-dynamic": {"--mode", "--cache-bytes", "--seed", "--stats",
+                   "--stats-json", "--steps"},
+    "td": set(),
+}
+
+
+def test_each_subcommand_takes_only_its_own_flags(example1_file, capsys):
+    code, out, err = invoke(["count", example1_file, "--steps", "3",
+                             "--delta", "0.5", "--seed", "9"])
+    assert (code, out) == (1, "")
+    assert err.endswith(
+        "error: unrecognized arguments: --steps 3 --delta 0.5 --seed 9\n")
+    # no abbreviations: `session --stats` is not read as --stats-json
+    code, out, err = invoke(["count", example1_file, "--cache-b", "4096"])
+    assert (code, out) == (1, "")
+    assert err.endswith("error: unrecognized arguments: --cache-b 4096\n")
+    for command, own in OWN_FLAGS.items():
+        for flag, argv in FLAG_ARGV.items():
+            code, out, err = invoke([command, example1_file, *argv])
+            if flag in own:
+                # example1 is no AF and no script: those exit 2
+                assert code in (0, 2), (command, flag)
+            else:
+                assert (code, out) == (1, ""), (command, flag)
+                assert err.endswith("error: unrecognized arguments: %s\n"
+                                    % " ".join(argv)), (command, flag)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_usage_errors_exit_1():

@@ -1,24 +1,29 @@
 """Property-based checks: every count equals brute_force_count, the
-incremental min-fill decomposition equals the rescoring reference, and the
+incremental min-fill decomposition equals the rescoring reference,
+`parse_dimacs` gives the reference parser's result or error, and the
 CLI meets any input file with exit 0 or with exit 2 and an `error:` line;
 the only other lines on err are duplicate-clause `warning:` lines."""
 
 import io
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyncount import (ComponentCache, FormulaState, UpdateOp,
                       brute_force_count, compute_tree_decomposition, count,
                       normalize_clause)
+from dyncount import dimacs
 from dyncount.cli import run
+from dyncount.dimacs import DimacsError, parse_dimacs
 from dyncount.formula import PrimalGraph
 
-from helpers import ALL_CONFIGS, reference_tree_decomposition, session_for
+from helpers import (ALL_CONFIGS, reference_parse_dimacs,
+                     reference_tree_decomposition, session_for)
 
 # at most 10 active variables, with indices up to 200
 ACTIVE = st.sets(st.integers(1, 200), min_size=1, max_size=10)
@@ -182,3 +187,80 @@ def test_cli_input_exits_0_or_2_with_an_error_line(text):
             assert all(line.startswith("warning: clause ")
                        and line.endswith(" already present")
                        for line in lines), command
+
+
+# DIMACS texts over at most 6 variables. The clauses hold duplicate and
+# complementary literals and the empty clause, and their tokens are spread
+# over lines: several clauses on one line, one clause over several lines,
+# comments and blank lines between. Now and then the header announces the
+# wrong clause count, the last 0 is missing, a fault token goes in anywhere
+# (which leaves a clause open if it lands after the last 0), and a stray
+# line goes in anywhere, the header line included: a second header, a bad
+# header, a clause before the header.
+FAULT_TOKENS = st.one_of(
+    st.sampled_from(["x", "1.5", "-", "0x1", "+3", "-0", "00", "1_0", "0", "c"]),
+    st.integers(-9, 9).map(str))
+SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\n", "\n",
+                              " \n\n ", "\nc a comment 1 x\n"])
+STRAY_LINES = st.sampled_from(["", "c", "cnf 1 0", "p cnf 3 1", "p cnf 2",
+                               "p af 2", "p cnf -1 0", "p cnf x 0", "1 0",
+                               "0"])
+
+
+@st.composite
+def dimacs_texts(draw):
+    n = draw(st.integers(0, 6))
+    clause = (st.lists(st.integers(-n, n).filter(bool), max_size=5) if n
+              else st.just([]))
+    clauses = draw(st.lists(clause, max_size=8))
+    announced = (len(clauses) if draw(st.integers(0, 3))
+                 else draw(st.integers(0, 10)))
+    tokens = [str(l) for c in clauses for l in (*c, 0)]
+    if tokens and not draw(st.integers(0, 5)):
+        tokens.pop()
+    for at, token in draw(st.lists(st.tuples(st.integers(0, 64), FAULT_TOKENS),
+                                   max_size=2)):
+        tokens.insert(at % (len(tokens) + 1), token)
+    body = "".join(t + draw(SEPARATORS) for t in tokens)
+    lines = ["p cnf %d %d" % (n, announced)] + body.split("\n")
+    for at, line in draw(st.lists(st.tuples(st.integers(0, 64), STRAY_LINES),
+                                  max_size=1)):
+        lines.insert(at % (len(lines) + 1), line)
+    if not draw(st.integers(0, 15)):
+        lines.pop(0)
+    return "\n".join(lines)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except DimacsError as exc:
+        return "DimacsError", str(exc), exc.line_no
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(dimacs_texts())
+@example("c first\np cnf 3 2\nc mid\n1 -2 0\n\n3 0\nc last\n")  # comments
+@example("p cnf 3 1\n1\n-2\n  3 0\n")                       # a clause over lines
+@example("p cnf 3 3\n1 0 -2 3 0 0\n")                       # clauses on one line
+@example("p cnf 3 2\n2 1 2 0\n3 -3 1 -1 0\n")               # duplicate, complement
+@example("p cnf 1 1\n0\n")                                  # the empty clause
+@example("p cnf 2 1\n1 x 0\n")                              # a bad token
+@example("p cnf 2 1\n1 -3 0\n")                             # beyond the header
+@example("p cnf 2 2\n1 0\n")                                # wrong clause count
+@example("p cnf 2 1\n1 0\n2\n")                             # unterminated
+@example("p cnf 2 1\n1 0\np cnf 2 1\n")                     # a second header
+@example("p cnf 2 2\n1 x 0\np cnf 2 1\n2 0\n")              # faults in file order
+@example("p cnf 2 2\n1 0\np cnf 2 1\nx 0\n")
+@example("")                                                # no header
+@example("1 0\np cnf 1 1\n")                                # clause before header
+@example("p cnf -1 0\n")                                    # bad headers
+@example("p cnf 1 x\n")
+@example("p af 2\n")
+def test_parse_dimacs_matches_the_reference(text):
+    """Same clauses in the same order, or the same error text and line;
+    also when every block of clause lines is a single line or three."""
+    expected = parse_outcome(reference_parse_dimacs, text)
+    for block_lines in (1, 3, dimacs._BLOCK_LINES):
+        with mock.patch.object(dimacs, "_BLOCK_LINES", block_lines):
+            assert parse_outcome(parse_dimacs, text) == expected, block_lines

@@ -61,8 +61,38 @@ def test_duplicate_add_warns_and_keeps_set_semantics():
 
 def test_add_clause_needs_active_vars():
     session = Session()
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as info:
         session.apply_op(UpdateOp.add_clause([1]))
+    assert str(info.value) == "add_clause (1,): inactive variable 1"
+    # of several inactive variables, the smallest is named
+    session.apply_op(UpdateOp.add_var(2))
+    with pytest.raises(PreconditionError) as info:
+        session.apply_op(UpdateOp.add_clause([5, 2, -3]))
+    assert str(info.value) == "add_clause (2, -3, 5): inactive variable 3"
+    assert session.state.clauses == set()
+
+
+def test_update_op_repr_equality_and_hash():
+    ops = [UpdateOp.add_clause([2, -1, 2]), UpdateOp.rem_clause([3]),
+           UpdateOp.add_var("4"), UpdateOp.rem_var(4), UpdateOp.reset(),
+           UpdateOp.load("f.cnf")]
+    assert [repr(op) for op in ops] == [
+        "UpdateOp(kind='add_clause', clause=(-1, 2), var=None, path=None)",
+        "UpdateOp(kind='rem_clause', clause=(3,), var=None, path=None)",
+        "UpdateOp(kind='add_var', clause=None, var=4, path=None)",
+        "UpdateOp(kind='rem_var', clause=None, var=4, path=None)",
+        "UpdateOp(kind='reset', clause=None, var=None, path=None)",
+        "UpdateOp(kind='load', clause=None, var=None, path='f.cnf')",
+    ]
+    op = UpdateOp.add_clause([2, 1])
+    same = UpdateOp("add_clause", clause=(1, 2))
+    assert op == same and hash(op) == hash(same)
+    assert hash(op) == hash(("add_clause", (1, 2), None, None))
+    assert op != UpdateOp.rem_clause([1, 2])
+    assert UpdateOp.add_var(1) != UpdateOp.rem_var(1)
+    assert len({op, same, UpdateOp.add_var(1), UpdateOp.add_var(1)}) == 2
+    with pytest.raises(AttributeError):
+        op.kind = "rem_clause"
 
 
 def test_rem_clause_not_found():
@@ -75,10 +105,21 @@ def test_replace_state_rejects_inactive_variable():
     session = loaded_session()
     before = session.state.copy()
     bad = FormulaState({1, 2}, {normalize_clause([1, 3])})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as info:
         session.replace_state(bad)
+    assert str(info.value) == \
+        "replace_state: clause (1, 3) uses inactive variable 3"
     assert session.state.active_vars == before.active_vars
     assert session.state.clauses == before.clauses
+    # of several bad clauses, the first in the set's iteration order is
+    # named, with its smallest inactive variable
+    bad = FormulaState({1}, {(1,), (1, 4, -5), (2, 3), (-1, 6), (-2, -7)})
+    first = next(c for c in bad.clauses if not bad.active_vars >= set(map(abs, c)))
+    smallest = min(set(map(abs, first)) - bad.active_vars)
+    with pytest.raises(PreconditionError) as info:
+        session.replace_state(bad)
+    assert str(info.value) == ("replace_state: clause %r uses inactive variable %d"
+                               % (first, smallest))
 
 
 def test_replace_state_installs_copy_and_keeps_cache():
@@ -168,7 +209,7 @@ def test_checkpoint_indices_consecutive():
     session = loaded_session()
     session.checkpoint_count()
     session.checkpoint_count()
-    assert [i for i, _ in session.counts] == [1, 2]
+    assert session.checkpoints == 2
 
 
 def test_empty_state_counts_free_vars():
