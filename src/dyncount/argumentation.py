@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import HEADER_LIMIT, FormulaState
 
@@ -20,8 +20,7 @@ class AfParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class ArgumentationFramework:
+class ArgumentationFramework(NamedTuple):
     arguments: frozenset
     attacks: frozenset  # ordered (attacker, target) pairs; self-attacks allowed
 
@@ -101,10 +100,14 @@ def encode_complete(af):
     a < b, x_a precedes d_b exactly when a <= b, and a long clause splits
     its sorted argument list at one `bisect`.
     """
-    attackers = af.attackers_of()
+    # the attackers of each attacked argument; an argument that is not a
+    # key here has none, and costs no empty set
+    attackers = {}
+    for b, a in af.attacks:
+        attackers.setdefault(a, set()).add(b)
     # d_b is referenced only for attackers b; if b is unattacked the
     # defense condition on b is plainly false and d_b is not created
-    has_aux = {b for b, _ in af.attacks if attackers[b]}
+    has_aux = {b for b, _ in af.attacks if b in attackers}
 
     clauses = set()
     add = clauses.add
@@ -126,8 +129,8 @@ def encode_complete(af):
         for c, xc in zip(members, xs):
             add((-xc, 2 * b) if c <= b else (2 * b, -xc))
     for a in af.arguments:
-        atk = attackers[a]
-        if not atk:
+        atk = attackers.get(a)
+        if atk is None:
             add((2 * a - 1,))
         elif atk <= has_aux:
             atk = sorted(atk)
@@ -183,8 +186,7 @@ OPERATIONS = (("delete_argument", 0.10), ("add_argument", 0.20),
               ("delete_attacks", 0.40), ("add_attacks", 0.30))
 
 
-@dataclass
-class PerturbationConfig:
+class PerturbationConfig(NamedTuple):
     steps: int = 1000
     seed: int = 0
 
@@ -242,8 +244,7 @@ def perturb(af, rng):
     return ArgumentationFramework(frozenset(args), frozenset(attacks)), tag
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     step: int
     tag: str
     af: ArgumentationFramework

@@ -13,7 +13,7 @@ in proportion to the highest variable index, not to the clause length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class MalformedLiteralError(ValueError):
@@ -99,12 +99,38 @@ def sort_clauses(clauses):
     return sorted(clauses, key=clause_key)
 
 
-@dataclass
-class FormulaState:
+class SlotRecord:
+    """Base of the mutable records: `==` and repr over the `__slots__` fields.
+
+    As with a dataclass, two records are equal when they are of the same
+    class with equal fields, a record is unhashable, and its repr reads
+    `Name(field=value, ...)`.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class FormulaState(SlotRecord):
     """Evolving pair of (active variable set, clause set)."""
 
-    active_vars: set = field(default_factory=set)
-    clauses: set = field(default_factory=set)
+    __slots__ = ("active_vars", "clauses")
+
+    def __init__(self, active_vars=None, clauses=None):
+        self.active_vars = set() if active_vars is None else active_vars
+        self.clauses = set() if clauses is None else clauses
 
     def copy(self):
         return FormulaState(set(self.active_vars), set(self.clauses))
@@ -116,8 +142,7 @@ class FormulaState:
                     raise ValueError("clause %r uses inactive variable %d" % (c, abs(l)))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """A maximal variable-disjoint group of clause masks."""
 
     clauses: frozenset
@@ -155,8 +180,7 @@ def decompose_components(clauses):
     return [Component(frozenset(members), cover) for _, cover, members in groups]
 
 
-@dataclass(frozen=True)
-class PrimalGraph:
+class PrimalGraph(NamedTuple):
     vertices: frozenset
     edges: frozenset  # of (u, v) pairs with u < v
 

@@ -11,13 +11,12 @@ O(n^2*d^2) set probes of rescoring all vertices at each step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import even_bits
 
 
-@dataclass
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     bags: list                  # list of frozensets of variables
     tree_edges: list            # (child_index, parent_index) pairs
     width: int

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -70,8 +69,7 @@ class UpdateOp(NamedTuple):
         return cls("load", path=path)
 
 
-@dataclass
-class UpdateBatch:
+class UpdateBatch(NamedTuple):
     ops: list
 
 
@@ -85,6 +83,9 @@ class Session:
         self.checkpoints = 0
         self.stats = SearchStats()
         self.last_count_stats = None
+        # (count, active variables) of the last count that returned; the
+        # engine's base for a delta count
+        self._base = None
 
     # -- atomic operations ------------------------------------------------
 
@@ -173,8 +174,14 @@ class Session:
     # -- counting ---------------------------------------------------------
 
     def checkpoint_count(self):
-        """Count the current state and add one to `checkpoints`."""
-        result = engine.count(self.state, self.config, self.cache)
+        """Count the current state and add one to `checkpoints`.
+
+        The base is cleared before the count and set only once it returns,
+        so a count that raises leaves none behind for the next one.
+        """
+        base, self._base = self._base, None
+        result = engine.count(self.state, self.config, self.cache, base)
+        self._base = (result.count, frozenset(self.state.active_vars))
         self.checkpoints += 1
         self.stats.merge(result.stats)
         self.last_count_stats = result.stats

@@ -3,31 +3,34 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .session import PreconditionError, Session, UpdateOp
-from .formula import sort_clauses
+from .formula import SlotRecord, sort_clauses
 
 
-@dataclass
-class SoftCoreConfig:
-    delta: float = 0.20
+class SoftCoreConfig(SlotRecord):
+    __slots__ = ("delta",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.delta) or self.delta < 0:
+    def __init__(self, delta=0.20):
+        if not math.isfinite(delta) or delta < 0:
             raise ValueError("delta must be a finite number >= 0")
+        self.delta = delta
 
 
-@dataclass
-class TrialStep:
-    index: int      # position in the deduplicated clause order
-    count: int      # model count with the clause removed
-    accepted: bool
+class TrialStep(SlotRecord):
+    __slots__ = ("index",       # position in the deduplicated clause order
+                 "count",       # model count with the clause removed
+                 "accepted")
+
+    def __init__(self, index, count, accepted):
+        self.index = index
+        self.count = count
+        self.accepted = accepted
 
 
-@dataclass
-class SoftCoreResult:
+class SoftCoreResult(NamedTuple):
     removed_indices: set
     kept_indices: set
     base_count: int

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -210,6 +211,22 @@ def _models_projected(state, arg_vars):
         if ok:
             seen.add(tuple(assignment[v] for v in sorted(arg_vars)))
     return seen
+
+
+def test_encoding_memory_follows_its_result():
+    # 100,000 arguments and no attack: the encoding holds one unit clause
+    # and one variable per argument, and builds no empty attacker set per
+    # argument on the way; the peak stays near what the AF and its
+    # encoding hold once both calls have returned
+    tracemalloc.start()
+    try:
+        af = parse_af("p af 100000\n")
+        state = encode_complete(af)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.clauses) == len(state.active_vars) == 100000
+    assert peak < 1.25 * held
 
 
 def test_unattacked_arguments_forced_true():

@@ -278,11 +278,13 @@ def test_warm_clause_masks_change_no_counter():
 # cacheBytes). They were taken from the engine before propagation, the
 # component split and key building were rewritten for speed, which must
 # change none of them. negativeHits is left out: the root key is now
-# built once.
+# built once. Under shared each removal is a delta count, one search under
+# the assumption that the removed clause is false, whose root is not
+# cached; the full counts gave (124, 580, 63, 30, 124, 147344).
 PINNED_COUNTS = [16, 22, 22, 26, 64, 70, 70, 72, 72, 84, 109, 109, 110]
 PINNED_COUNTERS = {
     "no_shared": (277, 1140, 126, 2, 28, 18296),
-    "shared": (124, 580, 63, 30, 124, 147344),
+    "shared": (49, 264, 36, 2, 49, 43304),
 }
 
 
@@ -304,6 +306,79 @@ def test_counters_pinned():
         name = config.cache_mode
         assert counts == PINNED_COUNTS, name
         assert counters == PINNED_COUNTERS[name], name
+
+
+def test_one_clause_changes_count_by_delta(monkeypatch):
+    # the root of each search assumes the literals of not-c exactly when one
+    # clause c, neither empty nor a tautology, changed in a shared session
+    # whose active variables did not change since its last count
+    roots = []
+    real_run = engine._run
+
+    def recording_run(search, clauses, variables, root):
+        roots.append(root)
+        return real_run(search, clauses, variables, root)
+
+    monkeypatch.setattr(engine, "_run", recording_run)
+    st = random_3cnf(random.Random(7), 12, 40)
+    c, d = sorted(st.clauses)[:2]
+    not_c = clause_mask([-l for l in c])
+    for mode, delta in (("shared", not_c), ("no_shared", 0)):
+        session = session_for(EngineConfig(cache_mode=mode), st)
+        steps = [
+            lambda: None,                                   # no change
+            lambda: session.apply_op(UpdateOp.rem_clause(c)),
+            lambda: session.apply_op(UpdateOp.add_clause(c)),
+            lambda: session.apply_batch([UpdateOp.rem_clause(c),
+                                         UpdateOp.rem_clause(d)]),
+            lambda: session.apply_batch([UpdateOp.add_clause(c),
+                                         UpdateOp.add_clause(d)]),
+            lambda: session.apply_op(UpdateOp.add_clause([1, -1])),
+            lambda: session.apply_op(UpdateOp.add_clause([])),
+            lambda: session.apply_op(UpdateOp.rem_clause([])),
+            lambda: session.apply_batch([UpdateOp.add_var(13),
+                                         UpdateOp.rem_clause(c)]),
+            lambda: session.apply_op(UpdateOp.add_clause(c)),
+            lambda: session.state.clauses.discard(c),       # direct edits
+            lambda: session.state.clauses.add(c),
+        ]
+        # None: the empty clause is present, so no search runs at all
+        expected = [0, 0, delta, delta, 0, 0, 0, None, 0, 0, delta, delta,
+                    delta]
+        roots.clear()
+        for step in [lambda: None] + steps:
+            step()
+            value = session.checkpoint_count()
+            assert value == brute_force_count(session.state)
+            if value == 0 and () in session.state.clauses:
+                roots.append(None)  # the empty clause: no search at all
+        assert roots == expected, mode
+
+
+def test_count_after_a_failed_count_is_exact(monkeypatch):
+    # a count that raises after the clause masks were synced leaves no base
+    # behind, so the next count, after another one-clause change, is full
+    rng = random.Random(11)
+    for _ in range(10):
+        st = random_3cnf(rng, 12, 40)
+        c, d = rng.sample(sorted(st.clauses), 2)
+        for then in (UpdateOp.add_clause(c), UpdateOp.rem_clause(d)):
+            session = session_for(EngineConfig(cache_mode="shared"), st)
+            session.checkpoint_count()
+            session.apply_op(UpdateOp.rem_clause(c))
+
+            def out_of_memory(*args, **kwargs):
+                raise MemoryError
+
+            with monkeypatch.context() as patch:
+                patch.setattr(engine._Search, "solve", out_of_memory)
+                with pytest.raises(MemoryError):
+                    session.checkpoint_count()
+            assert session.cache.clause_masks.keys() == session.state.clauses
+            session.apply_op(then)
+            fresh = session_for(EngineConfig(cache_mode="no_shared"),
+                                session.state)
+            assert session.checkpoint_count() == fresh.checkpoint_count()
 
 
 def test_long_chain_needs_no_recursion_limit():

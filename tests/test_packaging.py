@@ -1,8 +1,10 @@
-"""The in-repo build backend: metadata, wheel contents, sdist round trip."""
+"""The in-repo build backend: metadata, wheel contents, sdist round trip;
+what importing the package loads, and the records that keep it light."""
 
 import base64
 import hashlib
 import importlib.util
+import os
 import subprocess
 import sys
 import tarfile
@@ -127,3 +129,54 @@ def test_hooks_write_nothing_into_the_checkout(tmp_path):
     backend.build_editable(str(editable))
     backend.build_sdist(str(tmp_path))
     assert snapshot() == before
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples and __slots__ classes, so importing the
+    # package and its CLI leaves out dataclasses and the inspect, ast and
+    # dis modules it would pull into every process
+    code = ("import sys, dyncount, dyncount.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_records_keep_fields_defaults_equality_and_repr():
+    from dyncount import (CountResult, EngineConfig, FormulaState,
+                          PerturbationConfig, SearchStats, SoftCoreConfig)
+    from dyncount.softcore import TrialStep
+
+    config = EngineConfig()
+    assert repr(config) == ("EngineConfig(cache_mode='shared', heuristic='dlcs', "
+                            "td_mode='off', cache_byte_budget=536870912)")
+    assert config == EngineConfig(cache_mode="shared")
+    assert config != EngineConfig(cache_mode="no_shared")
+    with pytest.raises(ValueError):
+        EngineConfig(cache_byte_budget=0)
+    with pytest.raises(ValueError):
+        SoftCoreConfig(delta=-1.0)
+    stats = SearchStats(decisions=2)
+    stats.merge(SearchStats(decisions=1, conflicts=4))
+    assert repr(stats) == ("SearchStats(decisions=3, propagations=0, "
+                           "conflicts=4, positive_hits=0, negative_hits=0)")
+    state = FormulaState()
+    state.active_vars.add(1)
+    assert FormulaState().active_vars == set()  # a fresh set per record
+    assert repr(state) == "FormulaState(active_vars={1}, clauses=set())"
+    assert state == FormulaState({1}, set())
+    step = TrialStep(1, 5, True)
+    step.count = 4
+    assert repr(step) == "TrialStep(index=1, count=4, accepted=True)"
+    assert repr(SoftCoreConfig()) == "SoftCoreConfig(delta=0.2)"
+    assert repr(PerturbationConfig(seed=3)) == "PerturbationConfig(steps=1000, seed=3)"
+    assert repr(CountResult(7, SearchStats())).startswith(
+        "CountResult(count=7, stats=SearchStats(decisions=0, ")
+    # like dataclasses with eq=True, the mutable records are unhashable and
+    # never equal to a record of another class with the same fields
+    for record in (config, stats, state, step, SoftCoreConfig()):
+        with pytest.raises(TypeError):
+            hash(record)
+    assert TrialStep(1, 5, True) != (1, 5, True)

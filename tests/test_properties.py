@@ -1,4 +1,6 @@
-"""Property-based checks: every count equals brute_force_count, the
+"""Property-based checks: every count equals brute_force_count, a
+shared session's counts (delta counts among them) equal fresh no_shared
+counts over any sequence of session ops, the
 incremental min-fill decomposition equals the rescoring reference,
 `parse_dimacs` gives the reference parser's result or error, and the
 CLI meets any input file with exit 0 or with exit 2 and an `error:` line;
@@ -14,13 +16,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from dyncount import (ComponentCache, FormulaState, UpdateOp,
-                      brute_force_count, compute_tree_decomposition, count,
-                      normalize_clause)
+from dyncount import (BatchError, ComponentCache, DuplicateClauseWarning,
+                      EngineConfig, FormulaState, PreconditionError, Session,
+                      UpdateOp, brute_force_count, compute_tree_decomposition,
+                      count, normalize_clause)
 from dyncount import dimacs
 from dyncount.cli import run
 from dyncount.dimacs import DimacsError, parse_dimacs
-from dyncount.formula import PrimalGraph
+from dyncount.formula import BRUTE_FORCE_VAR_LIMIT, PrimalGraph
 
 from helpers import (ALL_CONFIGS, reference_parse_dimacs,
                      reference_tree_decomposition, session_for)
@@ -80,6 +83,111 @@ def test_update_sequence_counts_match_oracle(sequence):
                 present = sorted(session.state.clauses)
                 session.apply_op(UpdateOp.rem_clause(present[arg % len(present)]))
             assert session.checkpoint_count() == brute_force_count(session.state)
+
+
+# A session op: its kind, the literals or the index it acts on, and
+# whether a count follows it. Literals are (index, sign) pairs, mapped onto
+# the variables active when the op runs; two pairs on one variable with
+# opposite signs make a tautology.
+SESSION_LITERALS = st.lists(st.tuples(st.integers(0, 50), st.booleans()),
+                            min_size=1, max_size=4)
+SESSION_OPS = st.tuples(
+    st.sampled_from(["add", "add", "rem", "rem", "empty", "add_var", "rem_var",
+                     "batch", "replace", "reset", "direct", "direct_var"]),
+    SESSION_LITERALS, st.booleans())
+
+
+def _clause_on(active, literals):
+    order = sorted(active)
+    return normalize_clause([order[i % len(order)] * (1 if positive else -1)
+                             for i, positive in literals])
+
+
+def _apply_session_op(session, kind, literals):
+    state = session.state
+    active = state.active_vars
+    index = literals[0][0]
+    if kind == "add" and active:
+        clause = _clause_on(active, literals)
+        if clause in state.clauses:
+            with pytest.warns(DuplicateClauseWarning):
+                session.apply_op(UpdateOp.add_clause(clause))
+        else:
+            session.apply_op(UpdateOp.add_clause(clause))
+    elif kind == "rem" and state.clauses:
+        present = sorted(state.clauses)
+        session.apply_op(UpdateOp.rem_clause(present[index % len(present)]))
+    elif kind == "empty":
+        op = UpdateOp.rem_clause if () in state.clauses else UpdateOp.add_clause
+        session.apply_op(op([]))
+    elif kind == "add_var":
+        v = 1 + index % 14
+        if v in active:
+            with pytest.raises(PreconditionError):
+                session.apply_op(UpdateOp.add_var(v))
+        else:
+            session.apply_op(UpdateOp.add_var(v))
+    elif kind == "rem_var" and active:
+        v = sorted(active)[index % len(active)]
+        if any(v in map(abs, c) for c in state.clauses):
+            with pytest.raises(PreconditionError):
+                session.apply_op(UpdateOp.rem_var(v))
+        else:
+            session.apply_op(UpdateOp.rem_var(v))
+    elif kind == "batch" and active:
+        before = state.copy()
+        added = {_clause_on(active, [pair]) for pair in literals}
+        ops = [UpdateOp.add_clause(c) for c in sorted(added - state.clauses)]
+        if state.clauses:
+            ops.append(UpdateOp.rem_clause(min(state.clauses)))
+        ops.append(UpdateOp.rem_var(99))  # never active, so the batch fails
+        with pytest.raises(BatchError):
+            session.apply_batch(ops)
+        assert session.state == before
+    elif kind == "replace" and active:
+        fresh = state.copy()
+        fresh.clauses ^= {_clause_on(active, literals)}
+        session.replace_state(fresh)
+    elif kind == "reset":
+        variables = sorted(active)  # reset clears this very set
+        session.apply_op(UpdateOp.reset())
+        session.apply_batch([UpdateOp.add_var(v) for v in variables])
+    elif kind == "direct" and active:
+        state.clauses ^= {_clause_on(active, literals)}
+    elif kind == "direct_var":
+        v = 1 + index % 14
+        if v not in active:
+            active.add(v)
+        elif not any(v in map(abs, c) for c in state.clauses):
+            active.remove(v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sets(st.integers(1, 14), min_size=1, max_size=10).flatmap(
+    lambda active: st.tuples(st.just(active),
+                             st.sets(clauses_over(active), max_size=10))),
+       st.lists(SESSION_OPS, max_size=24))
+def test_shared_session_counts_match_fresh_counts(start, ops):
+    # a shared session makes a delta count after each one-clause change,
+    # and a full count otherwise; each must equal a fresh no_shared count
+    active, clauses = start
+    session = Session(EngineConfig(cache_mode="shared"))
+    session.replace_state(FormulaState(set(active), set(clauses)))
+
+    def check():
+        value = session.checkpoint_count()
+        state = session.state
+        fresh = Session(EngineConfig(cache_mode="no_shared"))
+        assert value == fresh.replace_state(state).checkpoint_count()
+        if len(state.active_vars) <= BRUTE_FORCE_VAR_LIMIT:
+            assert value == brute_force_count(state)
+
+    check()
+    for kind, literals, then_count in ops:
+        _apply_session_op(session, kind, literals)
+        if then_count:
+            check()
+    check()
 
 
 @st.composite
